@@ -165,8 +165,7 @@ class GradientBoostingModel:
                     min_child_weight=self.min_child_weight,
                     reg_lambda=self.reg_lambda,
                 )
-                tree.fit(binned, g, h, self.binner_, feature_indices)
-                update = tree.predict_binned(binned)
+                update = tree.fit_predict(binned, g, h, self.binner_, feature_indices)
                 raw[:, p] += self.learning_rate * update
                 if raw_val is not None:
                     raw_val[:, p] += self.learning_rate * tree.predict_binned(binned_val)

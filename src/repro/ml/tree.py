@@ -5,6 +5,18 @@ quantile-binned once per boosting run (:class:`Binner`), and each tree finds
 greedy splits over bin histograms of gradient/Hessian sums — the same
 strategy as LightGBM/XGBoost's ``hist`` mode.  Trees are grown depth-wise
 and stored in flat arrays so prediction is a tight vectorized loop.
+
+The split search evaluates every candidate feature of a node in one pass
+(:class:`_SplitCandidates`): each feature's bin codes are offset into their
+own row of a ``(features, width)`` grid, so one ``np.bincount`` per
+statistic builds every histogram and one ``cumsum`` along the bins gives
+every left-side sum.  The gains of all real split cells then go through one
+``argmax``, whose first maximum in feature-major order is the split a
+per-feature loop with a sequential strict ``>`` scan picks.  ``bincount``
+adds a cell's samples in input order and ``cumsum`` accumulates
+sequentially, so every sum adds the same values in the same order as that
+loop, and the fitted trees are bit-identical to it (``tests/test_ml_tree.py``
+keeps the loop as the oracle).
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ class Binner:
             raise ValueError(f"max_bins must be in [2, {_MAX_BINS_LIMIT}]")
         self.max_bins = max_bins
         self.bin_edges_ = None
+        self.n_bins_ = None
 
     def fit(self, X):
         """Compute per-feature quantile bin edges."""
@@ -46,6 +59,7 @@ class Binner:
             else:
                 edges = np.unique(np.quantile(col, quantiles))
             self.bin_edges_.append(edges)
+        self.n_bins_ = np.array([len(e) + 1 for e in self.bin_edges_], dtype=np.intp)
         return self
 
     def transform(self, X):
@@ -63,11 +77,40 @@ class Binner:
 
     def n_bins(self, feature):
         """Number of distinct bin indices feature ``feature`` can take."""
-        return len(self.bin_edges_[feature]) + 1
+        return int(self.n_bins_[feature])
 
     def threshold_value(self, feature, bin_index):
         """Raw-space threshold for a split at ``bin <= bin_index``."""
         return float(self.bin_edges_[feature][bin_index])
+
+
+class _SplitCandidates:
+    """The features one tree may split on, laid out for a single-pass search.
+
+    Features with fewer than two bins cannot split and are dropped.  Each
+    remaining feature ``k`` owns cells ``[k * width, (k + 1) * width)`` of
+    a flat histogram, where ``width`` is the widest feature's bin count;
+    row ``i`` of ``codes`` holds training row ``i``'s offset bin code for
+    every feature, so a node's histograms are one ``bincount`` over its
+    rows' codes.  A split can follow any bin of a feature but its top one;
+    ``cells`` lists those grid cells in feature-major order, and
+    ``cell_feature`` / ``cell_bin`` map each back to its position.
+    """
+
+    __slots__ = ("features", "codes", "width", "cells", "cell_feature", "cell_bin")
+
+    def __init__(self, binned, binner, feature_indices):
+        feature_indices = np.asarray(feature_indices, dtype=np.intp)
+        n_bins = binner.n_bins_[feature_indices]
+        keep = n_bins >= 2
+        self.features = feature_indices[keep]
+        n_bins = n_bins[keep]
+        self.width = int(n_bins.max()) if n_bins.size else 0
+        offsets = np.arange(self.features.size, dtype=np.intp) * self.width
+        self.codes = binned[:, self.features].astype(np.intp) + offsets
+        splits = np.arange(self.width - 1) < (n_bins - 1)[:, None]
+        self.cell_feature, self.cell_bin = np.nonzero(splits)
+        self.cells = self.cell_feature * self.width + self.cell_bin
 
 
 class _NodeBatch:
@@ -145,9 +188,21 @@ class RegressionTree:
             Optional subset of feature columns to consider (column
             subsampling), given as indices into ``binned``'s columns.
         """
+        self.fit_predict(binned, grad, hess, binner, feature_indices)
+        return self
+
+    def fit_predict(self, binned, grad, hess, binner, feature_indices=None):
+        """:meth:`fit`, then return the leaf value of every training row.
+
+        Growing the tree already sorts each training row into its leaf,
+        so the result equals ``predict_binned(binned)`` without a second
+        walk down the tree.
+        """
         n_samples, n_features = binned.shape
         if feature_indices is None:
             feature_indices = np.arange(n_features)
+        candidates = _SplitCandidates(binned, binner, feature_indices)
+        leaf_of_row = np.zeros(n_samples, dtype=np.intp)
 
         max_nodes = 2 ** (self.max_depth + 2)
         self.feature_ = np.full(max_nodes, -1, dtype=np.int32)
@@ -164,9 +219,11 @@ class RegressionTree:
         while stack:
             node = stack.pop()
             self.value_[node.node_id] = self._leaf_value(node.grad_sum, node.hess_sum)
+            # children overwrite this if the node splits
+            leaf_of_row[node.indices] = node.node_id
             if node.depth >= self.max_depth or node.indices.size < 2 * self.min_samples_leaf:
                 continue
-            split = self._best_split(binned, grad, hess, node, binner, feature_indices)
+            split = self._best_split(grad, hess, node, candidates)
             if split is None:
                 continue
             feat, bin_idx, gain = split
@@ -201,7 +258,7 @@ class RegressionTree:
             )
 
         self._trim(binner)
-        return self
+        return self.value_[leaf_of_row]
 
     def _leaf_value(self, grad_sum, hess_sum):
         return -grad_sum / max(hess_sum + self.reg_lambda, 1e-12)
@@ -210,49 +267,57 @@ class RegressionTree:
         denom = h + self.reg_lambda
         return g * g / np.maximum(denom, 1e-12)
 
-    def _best_split(self, binned, grad, hess, node, binner, feature_indices):
+    def _best_split(self, grad, hess, node, candidates):
+        """Best ``(feature, bin, gain)`` over every candidate, or ``None``.
+
+        Ties resolve as a sequential scan with a strict ``>`` would: the
+        lowest bin within a feature, then the earliest feature in
+        ``candidates.features`` order.
+        """
+        n_feat = candidates.features.size
+        if n_feat == 0:
+            return None
         idx = node.indices
-        g = grad[idx]
-        h = hess[idx]
+        n_cells = n_feat * candidates.width
+        codes = candidates.codes[idx].ravel()
+        shape = (n_feat, candidates.width)
+        g_hist = np.bincount(codes, weights=grad[idx].repeat(n_feat), minlength=n_cells)
+        h_hist = np.bincount(codes, weights=hess[idx].repeat(n_feat), minlength=n_cells)
+        c_hist = np.bincount(codes, minlength=n_cells)
+
+        cells = candidates.cells
+        g_left = np.cumsum(g_hist.reshape(shape), axis=1).take(cells)
+        h_left = np.cumsum(h_hist.reshape(shape), axis=1).take(cells)
+        c_left = np.cumsum(c_hist.reshape(shape), axis=1).take(cells)
+        g_right = node.grad_sum - g_left
+        h_right = node.hess_sum - h_left
+
+        valid = (
+            (c_left >= self.min_samples_leaf)
+            & (c_left <= idx.size - self.min_samples_leaf)
+            & (h_left >= self.min_child_weight)
+            & (h_right >= self.min_child_weight)
+        )
         parent_score = self._score(node.grad_sum, node.hess_sum)
-        best = None
-        best_gain = self.min_gain
-        for feat in feature_indices:
-            bins = binned[idx, feat].astype(np.int64)
-            n_bins = binner.n_bins(feat)
-            if n_bins < 2:
-                continue
-            g_hist = np.bincount(bins, weights=g, minlength=n_bins)
-            h_hist = np.bincount(bins, weights=h, minlength=n_bins)
-            c_hist = np.bincount(bins, minlength=n_bins)
-
-            g_left = np.cumsum(g_hist)[:-1]
-            h_left = np.cumsum(h_hist)[:-1]
-            c_left = np.cumsum(c_hist)[:-1]
-            g_right = node.grad_sum - g_left
-            h_right = node.hess_sum - h_left
-            c_right = idx.size - c_left
-
-            valid = (
-                (c_left >= self.min_samples_leaf)
-                & (c_right >= self.min_samples_leaf)
-                & (h_left >= self.min_child_weight)
-                & (h_right >= self.min_child_weight)
-            )
-            if not valid.any():
-                continue
-            gains = np.where(
-                valid,
-                self._score(g_left, h_left)
-                + self._score(g_right, h_right)
-                - parent_score,
-                -np.inf,
-            )
-            j = int(np.argmax(gains))
-            if gains[j] > best_gain:
-                best_gain = float(gains[j])
-                best = (int(feat), j, best_gain)
-        return best
+        gains = np.where(
+            valid,
+            self._score(g_left, h_left) + self._score(g_right, h_right) - parent_score,
+            -np.inf,
+        )
+        # The first maximum in feature-major order is the first feature
+        # whose best gain beats every earlier one, at its lowest best bin.
+        # A NaN gain voids its whole feature, as a per-feature argmax that
+        # lands on it and then fails ``>`` would.
+        k = int(np.argmax(gains))
+        if np.isnan(gains[k]):
+            nan_features = candidates.cell_feature[np.isnan(gains)]
+            gains[np.isin(candidates.cell_feature, nan_features)] = -np.inf
+            k = int(np.argmax(gains))
+        gain = float(gains[k])
+        if not gain > self.min_gain:
+            return None
+        feat = candidates.features[candidates.cell_feature[k]]
+        return int(feat), int(candidates.cell_bin[k]), gain
 
     def _trim(self, binner):
         n = self.n_nodes_

@@ -18,9 +18,12 @@ stream stalls with nothing left to pull — whichever comes first.  The
 work is verifiably in flight (ops queued past a sequence gap): the
 worker waits up to the window for the gap to fill, then flushes
 anyway.  Cache hits and cold-start routes resolve immediately — they
-never wait for the batch window.  Observes
-(and the local retrains they trigger) also run on the worker thread, so
-client ``predict`` calls never block behind a retrain.
+never wait for the batch window.  Observes, and the local retrains they
+trigger, run inline on the worker thread too: a retrain delays every op
+queued behind it, cache hits included, until the fit returns.  In the
+serving benchmark's traced runs on a 2-vCPU host a ``fast_profile``
+retrain averages ~120 ms, so each one stalls its shard for about that
+long.
 """
 
 from __future__ import annotations

@@ -1,8 +1,13 @@
 """Tests for the gradient boosting machine."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro import FleetConfig, FleetGenerator, fast_profile
+from repro.core.autowlm import AutoWLMPredictor
+from repro.local_model import LocalModel
 from repro.ml.gbm import GradientBoostingModel
 
 
@@ -190,3 +195,58 @@ class TestIntrospection:
         assert model.byte_size() == 0
         model.fit(X, y)
         assert model.byte_size() > 0
+
+
+# ---------------------------------------------------------------------------
+# golden model digests
+# ---------------------------------------------------------------------------
+#: SHA-256 of every tree array of two models fit on a fixed trace prefix,
+#: recorded before the split search was vectorized.  Any change to the fit
+#: kernel that moves one bit of one tree changes them.  They fingerprint a
+#: numpy build too (featurization and the Gaussian-NLL gradients go through
+#: its exp/log kernels), like the drift-gated results/*.txt do.
+GOLDEN_LOCAL_ENSEMBLE = "f77a3a784b14d240dffcdf484ac8390599d835dabb6b4b14974591f428b7486e"
+GOLDEN_AUTOWLM = "27e106571f3a07b08d4a5bd4c62117c09b5432cf16d0a4c1476817e522c5b7dc"
+
+
+def _tree_digest(models):
+    digest = hashlib.sha256()
+    for model in models:
+        digest.update(np.asarray(model.init_raw_, dtype=np.float64).tobytes())
+        for round_trees in model.trees_:
+            for tree in round_trees:
+                for array in (
+                    tree.feature_,
+                    tree.threshold_,
+                    tree._threshold_bin,
+                    tree.left_,
+                    tree.right_,
+                    tree.value_,
+                    tree.is_leaf_,
+                ):
+                    digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def trace_prefix():
+    gen = FleetGenerator(FleetConfig(seed=1, volume_scale=0.3))
+    trace = gen.generate_trace(gen.sample_instance(0), 2.0)
+    return [trace[i] for i in range(400)]
+
+
+class TestGoldenDigests:
+    def test_fast_profile_local_ensemble(self, trace_prefix):
+        profile = fast_profile()
+        model = LocalModel(profile.local, profile.pool, random_state=3)
+        for record in trace_prefix:
+            model.add_example(record.features, record.exec_time)
+        assert model.n_retrains == 3
+        assert _tree_digest(model._ensemble.members_) == GOLDEN_LOCAL_ENSEMBLE
+
+    def test_autowlm_gbm(self, trace_prefix):
+        predictor = AutoWLMPredictor(fast_profile().local, random_state=5)
+        for record in trace_prefix:
+            predictor.observe(record)
+        assert predictor.n_retrains == 3
+        assert _tree_digest([predictor._model]) == GOLDEN_AUTOWLM

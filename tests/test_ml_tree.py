@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.tree import Binner, RegressionTree
+from repro.ml.tree import Binner, RegressionTree, _NodeBatch, _SplitCandidates
 
 
 def _fit_tree_to_targets(X, y, **kwargs):
@@ -128,3 +128,219 @@ class TestRegressionTree:
         pred = tree.predict(X)
         assert pred.min() >= y.min() - 1e-9
         assert pred.max() <= y.max() + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# single-pass split search vs the per-feature reference loop
+# ---------------------------------------------------------------------------
+def _reference_best_split(tree, binned, grad, hess, node, binner, feature_indices):
+    """The per-feature split search the single-pass kernel replaced.
+
+    One histogram, cumsum and argmax per feature, then a sequential
+    strict ``>`` scan across features.  Kept here as the oracle.
+    """
+    idx = node.indices
+    g = grad[idx]
+    h = hess[idx]
+    parent_score = tree._score(node.grad_sum, node.hess_sum)
+    best = None
+    best_gain = tree.min_gain
+    for feat in feature_indices:
+        bins = binned[idx, feat].astype(np.int64)
+        n_bins = binner.n_bins(feat)
+        if n_bins < 2:
+            continue
+        g_hist = np.bincount(bins, weights=g, minlength=n_bins)
+        h_hist = np.bincount(bins, weights=h, minlength=n_bins)
+        c_hist = np.bincount(bins, minlength=n_bins)
+
+        g_left = np.cumsum(g_hist)[:-1]
+        h_left = np.cumsum(h_hist)[:-1]
+        c_left = np.cumsum(c_hist)[:-1]
+        g_right = node.grad_sum - g_left
+        h_right = node.hess_sum - h_left
+        c_right = idx.size - c_left
+
+        valid = (
+            (c_left >= tree.min_samples_leaf)
+            & (c_right >= tree.min_samples_leaf)
+            & (h_left >= tree.min_child_weight)
+            & (h_right >= tree.min_child_weight)
+        )
+        if not valid.any():
+            continue
+        gains = np.where(
+            valid,
+            tree._score(g_left, h_left) + tree._score(g_right, h_right) - parent_score,
+            -np.inf,
+        )
+        j = int(np.argmax(gains))
+        if gains[j] > best_gain:
+            best_gain = float(gains[j])
+            best = (int(feat), j, best_gain)
+    return best
+
+
+class _ReferenceTree(RegressionTree):
+    """A tree grown with :func:`_reference_best_split` at every node."""
+
+    def fit_predict(self, binned, grad, hess, binner, feature_indices=None):
+        if feature_indices is None:
+            feature_indices = np.arange(binned.shape[1])
+        self._reference_args = (binned, binner, feature_indices)
+        return super().fit_predict(binned, grad, hess, binner, feature_indices)
+
+    def _best_split(self, grad, hess, node, candidates):
+        binned, binner, feature_indices = self._reference_args
+        return _reference_best_split(self, binned, grad, hess, node, binner, feature_indices)
+
+
+_TREE_ARRAYS = (
+    "feature_",
+    "threshold_",
+    "_threshold_bin",
+    "left_",
+    "right_",
+    "value_",
+    "is_leaf_",
+)
+
+
+@st.composite
+def _split_problems(draw):
+    """Small binned problems rich in the split search's edge cases.
+
+    Low-cardinality columns give constant (single-bin) features and exact
+    gain ties, a duplicated column gives equal gains across features,
+    zero Hessian/gradient rows stand in for the subsample mask, and
+    integral Hessians put ``min_child_weight`` exactly on bin boundaries.
+    ``min_samples_leaf=0`` with a negative ``min_gain`` leaves only the
+    split-cell list to reject empty splits, and constant gradients with
+    ``min_gain=0`` leave only the strict ``>`` to reject zero-gain ones.
+    """
+    n = draw(st.integers(min_value=2, max_value=60))
+    n_features = draw(st.integers(min_value=1, max_value=6))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    cards = [draw(st.sampled_from([1, 2, 3, 8, 50])) for _ in range(n_features)]
+    X = np.column_stack([rng.integers(0, c, size=n) for c in cards]).astype(float)
+    if draw(st.booleans()):
+        X = np.column_stack([X, X[:, :1]])  # equal gains across features
+    binner = Binner(max_bins=draw(st.integers(min_value=2, max_value=16))).fit(X)
+    binned = binner.transform(X)
+    grad_kind = draw(st.sampled_from(["discrete", "normal", "constant"]))
+    if grad_kind == "discrete":
+        grad = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 3.0], size=n)
+    elif grad_kind == "normal":
+        grad = rng.normal(size=n)
+    else:
+        grad = np.ones(n)  # with reg_lambda=0 every split gains exactly 0
+    hess = rng.choice([0.5, 1.0, 2.0], size=n)
+    if draw(st.booleans()):
+        mask = (rng.random(n) < 0.7).astype(np.float64)  # subsample mask
+        grad, hess = grad * mask, hess * mask
+    k = draw(st.integers(min_value=1, max_value=binned.shape[1]))
+    feature_indices = np.sort(rng.choice(binned.shape[1], size=k, replace=False))
+    if draw(st.booleans()):
+        feature_indices = None
+    params = dict(
+        max_depth=draw(st.integers(min_value=0, max_value=4)),
+        min_samples_leaf=draw(st.integers(min_value=0, max_value=8)),
+        min_child_weight=draw(st.sampled_from([0.0, 1e-3, 0.5, 1.0, 2.0, 3.0])),
+        reg_lambda=draw(st.sampled_from([0.0, 1.0])),
+        min_gain=draw(st.sampled_from([1e-7, 0.0, -1.0])),
+    )
+    return binned, grad, hess, binner, feature_indices, params, rng
+
+
+class TestSinglePassSplitSearch:
+    @given(_split_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_split_matches_reference_bit_for_bit(self, problem):
+        binned, grad, hess, binner, feature_indices, params, rng = problem
+        n, n_features = binned.shape
+        fi = np.arange(n_features) if feature_indices is None else feature_indices
+        tree = RegressionTree(**params)
+        candidates = _SplitCandidates(binned, binner, fi)
+        nodes = [np.arange(n), np.sort(rng.choice(n, size=max(1, n // 2), replace=False))]
+        for idx in nodes:
+            node = _NodeBatch(0, idx, 0, float(grad[idx].sum()), float(hess[idx].sum()))
+            got = tree._best_split(grad, hess, node, candidates)
+            want = _reference_best_split(tree, binned, grad, hess, node, binner, fi)
+            assert got == want
+            if got is not None:
+                assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+
+    @given(_split_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_tree_matches_reference_array_for_array(self, problem):
+        binned, grad, hess, binner, feature_indices, params, _ = problem
+        tree = RegressionTree(**params)
+        reference = _ReferenceTree(**params)
+        leaf_values = tree.fit_predict(binned, grad, hess, binner, feature_indices)
+        reference.fit(binned, grad, hess, binner, feature_indices)
+        assert tree.n_nodes_ == reference.n_nodes_
+        for name in _TREE_ARRAYS:
+            got, want = getattr(tree, name), getattr(reference, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+        assert leaf_values.tobytes() == reference.predict_binned(binned).tobytes()
+
+    def test_only_constant_features_gives_a_leaf(self):
+        X = np.column_stack([np.full(40, 2.0), np.full(40, -1.0)])
+        binner = Binner(max_bins=8).fit(X)
+        binned = binner.transform(X)
+        y = np.arange(40.0)
+        tree = RegressionTree(min_samples_leaf=1).fit(binned, -y, np.ones(40), binner)
+        assert tree.n_nodes_ == 1
+        assert tree.value_[0] == -(-y.sum()) / (40 + tree.reg_lambda)
+
+    def test_padding_cells_never_split(self):
+        """A narrow feature's grid cells past its last bin hold an empty
+        right side with gain 0; when every real split loses gain and the
+        leaf-size guards are off, only the split-cell list excludes them."""
+        # the outlier lands above feature 0's last edge, so its top bin is
+        # occupied and every cell past it is padding
+        X = np.column_stack([np.repeat([0.0, 5.0], [7, 1]), np.arange(8.0)])
+        binner = Binner(max_bins=8).fit(X)
+        binned = binner.transform(X)
+        assert binner.n_bins(0) < binner.n_bins(1)
+        grad, hess = np.ones(8), np.ones(8)
+        params = dict(max_depth=1, min_samples_leaf=0, min_child_weight=0.0, min_gain=-1.0)
+        tree = RegressionTree(**params).fit(binned, grad, hess, binner)
+        reference = _ReferenceTree(**params).fit(binned, grad, hess, binner)
+        for name in _TREE_ARRAYS:
+            assert getattr(tree, name).tobytes() == getattr(reference, name).tobytes()
+        assert tree.feature_[0] == reference.feature_[0] >= 0
+
+    def test_nan_gains_void_only_their_feature(self):
+        """Huge gradients with an infinite Hessian give NaN gains in the
+        features that separate them; the reference skips exactly those
+        features and still splits on the others."""
+        for seed in range(1500):
+            rng = np.random.default_rng(seed)
+            X = rng.integers(0, 3, size=(10, 3)).astype(float)
+            binner = Binner(max_bins=8).fit(X)
+            binned = binner.transform(X)
+            grad = rng.choice([1e200, -1e200, 1.0, -2.0], size=10)
+            hess = rng.choice([np.inf, 1.0, 1.0, 1.0], size=10)
+            tree = RegressionTree(min_samples_leaf=1)
+            idx = np.arange(10)
+            node = _NodeBatch(0, idx, 0, float(grad.sum()), float(hess.sum()))
+            fi = np.arange(3)
+            with np.errstate(all="ignore"):
+                got = tree._best_split(grad, hess, node, _SplitCandidates(binned, binner, fi))
+                want = _reference_best_split(tree, binned, grad, hess, node, binner, fi)
+            assert got == want, seed
+
+    def test_first_feature_wins_a_tie(self):
+        col = np.repeat([0.0, 1.0], 20)
+        X = np.column_stack([np.zeros(40), col, col])
+        binner = Binner(max_bins=8).fit(X)
+        binned = binner.transform(X)
+        y = col * 5.0
+        tree = RegressionTree(max_depth=1, min_samples_leaf=1)
+        tree.fit(binned, -y, np.ones(40), binner)
+        assert tree.feature_[0] == 1
+        tree.fit(binned, -y, np.ones(40), binner, feature_indices=np.array([2, 1]))
+        assert tree.feature_[0] == 2
