@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.core.config import ReplayBackend
 from repro.scenarios import (
     Scenario,
     ScenarioConfig,
@@ -37,11 +38,11 @@ def main() -> None:
     print(render_matrix(results, SWEEP))
 
     print("\nre-running through the online PredictionService (3 clients)...")
-    via = ScenarioRunner(
-        replace(SWEEP, via_service=True, service_clients=3), scenarios=scenarios
+    served = ScenarioRunner(
+        replace(SWEEP, backend=ReplayBackend(mode="service", clients=3)), scenarios=scenarios
     ).run_matrix()
-    for direct_result, via_result in zip(results, via):
-        for a, b in zip(direct_result.replays, via_result.replays):
+    for direct_result, served_result in zip(results, served):
+        for a, b in zip(direct_result.replays, served_result.replays):
             assert np.array_equal(a.stage_pred, b.stage_pred)
             assert a.stage_stats == b.stage_stats
     print("direct and serving paths agree bit-for-bit on every scenario.")

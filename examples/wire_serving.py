@@ -8,7 +8,7 @@ length-prefixed binary frames) in front of a sharded
 traffic from a :class:`~repro.service.WireClient` — registration,
 predictions with calibrated intervals and feedback all ride the wire,
 (b) the fleet + per-session stats roll-up fetched over the same socket,
-and (c) the determinism contract extending across TCP: a ``via_socket``
+and (c) the determinism contract extending across TCP: a socket-backed
 replay over multiple concurrent connections is bit-identical to the
 direct in-process replay.
 
@@ -17,7 +17,7 @@ Run:  python examples/wire_serving.py
 
 import numpy as np
 
-from repro.core.config import GatewayConfig, WireConfig, fast_profile
+from repro.core.config import GatewayConfig, ReplayBackend, WireConfig, fast_profile
 from repro.harness import replay_instance
 from repro.service import FleetGateway, WireClient, WireServer
 from repro.workload import FleetConfig, FleetGenerator
@@ -69,19 +69,17 @@ def main() -> None:
         gateway.close()
 
     # --- (c) bit-parity across the socket ------------------------------
-    print("\nreplaying the same trace direct and via_socket (3 shards, "
+    print("\nreplaying the same trace direct and over the socket (3 shards, "
           "3 concurrent TCP connections)...")
     direct = replay_instance(traces[0], config=fast_profile())
-    via_socket = replay_instance(
+    over_socket = replay_instance(
         traces[0],
         config=fast_profile(),
-        via_socket=True,
-        gateway_config=GatewayConfig(n_shards=3),
-        service_clients=3,
+        backend=ReplayBackend(mode="socket", clients=3, gateway=GatewayConfig(n_shards=3)),
     )
-    assert np.array_equal(direct.stage_pred, via_socket.stage_pred)
-    assert np.array_equal(direct.stage_source, via_socket.stage_source)
-    assert direct.stage_stats == via_socket.stage_stats
+    assert np.array_equal(direct.stage_pred, over_socket.stage_pred)
+    assert np.array_equal(direct.stage_source, over_socket.stage_source)
+    assert direct.stage_stats == over_socket.stage_stats
     print(
         "bit-identical arrays and accounting: the frame protocol, shard "
         "processes and connection interleaving are all invisible."

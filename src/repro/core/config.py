@@ -243,16 +243,10 @@ class ServiceConfig:
     #: ops are already queued behind it (ms)
     max_batch_latency_ms: float = 2.0
     #: also compute local-ensemble answers for cache hits (component
-    #: collection, used by the replay harness's ``via_service`` mode)
+    #: collection, used by the replay harness's serving modes)
     collect_components: bool = False
     #: default timeout for :meth:`PredictionService.drain` (seconds)
     drain_timeout_s: float = 120.0
-    #: defer warm local retrains (and ANALYZE-style maintenance, via
-    #: :meth:`PredictionService.maintenance_window`) into forecast load
-    #: troughs.  Requires a forecast-enabled ``StageConfig``
-    #: (``StageConfig.forecast``); default-off so committed results
-    #: cannot drift
-    defer_retrains_to_troughs: bool = False
 
     def __post_init__(self):
         if self.max_batch_size < 1:
@@ -423,12 +417,11 @@ _REPLAY_MODES = ("direct", "service", "gateway", "socket")
 class ReplayBackend:
     """Which serving tier a replay routes through, with its knobs.
 
-    One picklable value replaces the ``via_service`` / ``via_gateway`` /
-    ``via_socket`` booleans and their per-tier config kwargs that used
-    to accumulate on every replay signature.  The determinism contract
-    makes the choice invisible in results: every mode replays the same
-    sequenced op stream, so arrays and accounting are bit-identical
-    across modes (and the parity suites assert exactly that).
+    One picklable value, taken by ``replay_instance``, ``FleetSweeper``
+    and ``ScenarioSweepConfig``.  The determinism contract makes the
+    choice invisible in results: every mode replays the same sequenced
+    op stream, so arrays and accounting are bit-identical across modes
+    (and the parity suites assert exactly that).
     """
 
     #: one of ``"direct"`` (in-process, no service layer),
@@ -438,10 +431,11 @@ class ReplayBackend:
     mode: str = "direct"
     #: concurrent replay clients per instance (ignored by ``direct``)
     clients: int = 1
-    #: micro-batching knobs (``service`` mode; also reachable through
-    #: ``gateway.service`` for the sharded modes)
+    #: micro-batching knobs, for every mode that serves (the sharded
+    #: modes hand them to each shard's services)
     service: ServiceConfig = field(default_factory=ServiceConfig)
-    #: fleet sharding knobs (``gateway`` and ``socket`` modes)
+    #: fleet sharding knobs (``gateway`` and ``socket`` modes); its
+    #: ``service`` field must stay default — set ``service`` above
     gateway: GatewayConfig = field(default_factory=GatewayConfig)
     #: TCP front-door knobs (``socket`` mode)
     wire: WireConfig = field(default_factory=WireConfig)
@@ -453,6 +447,11 @@ class ReplayBackend:
             )
         if self.clients < 1:
             raise ValueError("clients must be >= 1")
+        if self.gateway.service != ServiceConfig():
+            raise ValueError(
+                "set a replay's micro-batching knobs on ReplayBackend.service, "
+                "not ReplayBackend.gateway.service"
+            )
 
 
 def fast_profile() -> StageConfig:

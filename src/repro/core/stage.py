@@ -110,8 +110,7 @@ class StagePredictor(Predictor):
             )
         else:
             self.forecast = None
-        #: hold warm local retrains for forecast troughs; the service's
-        #: ``defer_retrains_to_troughs`` knob flips this after build
+        #: hold warm local retrains for forecast troughs
         self.defer_retrains = bool(
             forecast_config is not None and forecast_config.defer_retrains
         )
@@ -297,7 +296,7 @@ class BatchRouter:
     """Incremental batch routing over one :class:`StagePredictor`.
 
     The single batch-path implementation shared by the replay harness
-    (``component_inference="batched"`` and ``via_service`` modes) and the
+    (``component_inference="batched"`` and every serving mode) and the
     online :class:`~repro.service.PredictionService` — both consume this
     class, so the offline and serving paths cannot drift.
 

@@ -26,9 +26,9 @@ empirical coverage of those intervals is scored by
 (``results/calibration_scorecard.txt``).
 
 The serving-side twin of this offline harness is ``repro.service``:
-``replay_instance(via_service=True)`` replays an instance *through* the
-online :class:`~repro.service.PredictionService` (micro-batch scheduler
-and all) with bit-identical results, and ``python -m repro.service``
+``replay_instance(trace, backend=ReplayBackend(mode="service"))`` replays
+an instance *through* the online :class:`~repro.service.PredictionService`
+(micro-batch scheduler and all) with bit-identical results, and ``python -m repro.service``
 benchmarks that serving layer.
 
 Run everything and print paper-style tables with::

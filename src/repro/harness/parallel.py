@@ -25,25 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence
 
-from repro.core.config import (
-    GatewayConfig,
-    ReplayBackend,
-    ServiceConfig,
-    StageConfig,
-    WireConfig,
-)
+from repro.core.config import ReplayBackend, StageConfig
 from repro.global_model.model import GlobalModel
 from repro.parallelism import pool_map, resolve_n_jobs, runs_inline
 from repro.workload.fleet import FleetConfig, FleetGenerator
 from repro.workload.trace import Trace
 
-from .replay import (
-    InstanceReplay,
-    _backend_gateway_config,
-    assemble_replay,
-    replay_instance,
-    resolve_backend,
-)
+from .replay import InstanceReplay, replay_fleet, replay_instance
 
 __all__ = ["FleetSweeper", "resolve_n_jobs"]
 
@@ -82,7 +70,7 @@ class _ReplaySettings:
     #: the serving tier each per-worker replay routes through (only the
     #: per-instance modes ride here — ``direct`` and ``service``; the
     #: shared-fleet modes are driven centrally by the sweeper)
-    backend: Optional[ReplayBackend] = None
+    backend: ReplayBackend = field(default_factory=ReplayBackend)
 
 
 def _resolve_global_model(settings: _ReplaySettings) -> Optional[GlobalModel]:
@@ -149,18 +137,9 @@ class FleetSweeper:
     #: (:class:`~repro.core.config.ReplayBackend`); ``direct`` and
     #: ``service`` replay per instance (fan out over the pool), while
     #: ``gateway`` and ``socket`` put the whole fleet behind one shared
-    #: front door — all bit-identical under the determinism contract
-    backend: Optional[ReplayBackend] = None
-    #: deprecated spelling of ``backend`` (see
-    #: :func:`~repro.harness.replay.resolve_backend`); cannot be
-    #: combined with it
-    via_service: bool = False
-    service_config: Optional[ServiceConfig] = None
-    service_clients: int = 1
-    via_gateway: bool = False
-    gateway_config: Optional[GatewayConfig] = None
-    via_socket: bool = False
-    wire_config: Optional[WireConfig] = None
+    #: front door (:func:`~repro.harness.replay.replay_fleet`) — all
+    #: bit-identical under the determinism contract
+    backend: ReplayBackend = field(default_factory=ReplayBackend)
     #: called once, on its own thread, *while* the fleet replay's
     #: submitters are in flight, with the live gateway as its argument —
     #: the reshard-mid-replay hook (``gateway``/``socket`` modes only).
@@ -171,24 +150,8 @@ class FleetSweeper:
     n_jobs: int = 1
 
     # ------------------------------------------------------------------
-    def _resolved_backend(self) -> ReplayBackend:
-        return resolve_backend(
-            self.backend,
-            via_service=self.via_service,
-            via_gateway=self.via_gateway,
-            via_socket=self.via_socket,
-            service_config=self.service_config,
-            service_clients=self.service_clients,
-            gateway_config=self.gateway_config,
-            wire_config=self.wire_config,
-        )
-
-    def _settings(
-        self, inline: bool, backend: Optional[ReplayBackend] = None
-    ) -> _ReplaySettings:
+    def _settings(self, inline: bool) -> _ReplaySettings:
         """Worker settings; pool-bound settings never carry the model."""
-        if backend is None:
-            backend = self._resolved_backend()
         return _ReplaySettings(
             stage_config=self.stage_config,
             random_state=self.random_state,
@@ -196,15 +159,11 @@ class FleetSweeper:
             component_inference=self.component_inference,
             use_global_model=self.global_model is not None,
             global_model=self.global_model if inline else None,
-            backend=backend,
+            backend=self.backend,
         )
 
-    def _map(
-        self, worker, payloads: Sequence[tuple], backend: ReplayBackend
-    ) -> List[InstanceReplay]:
-        settings = self._settings(
-            inline=runs_inline(self.n_jobs, len(payloads)), backend=backend
-        )
+    def _map(self, worker, payloads: Sequence[tuple]) -> List[InstanceReplay]:
+        settings = self._settings(inline=runs_inline(self.n_jobs, len(payloads)))
         tasks = [payload + (settings,) for payload in payloads]
         return pool_map(
             worker,
@@ -215,123 +174,35 @@ class FleetSweeper:
         )
 
     # ------------------------------------------------------------------
-    def _check_backend(self) -> ReplayBackend:
-        backend = self._resolved_backend()
-        if backend.mode != "direct" and self.component_inference != "batched":
+    def _check_backend(self) -> None:
+        if self.backend.mode != "direct" and self.component_inference != "batched":
             raise ValueError(
                 "service/gateway/socket replays route through the "
                 'batched path; use component_inference="batched"'
             )
-        if self.reshard_hook is not None and backend.mode not in ("gateway", "socket"):
+        if self.reshard_hook is not None and not self._shared_fleet:
             raise ValueError(
                 "reshard_hook requires a shared-fleet backend "
                 '(mode "gateway" or "socket")'
             )
-        return backend
 
-    def _replay_fleet(
-        self, traces: Sequence[Trace], backend: ReplayBackend
-    ) -> List[InstanceReplay]:
-        """Replay every trace through one shared, sharded fleet tier.
+    @property
+    def _shared_fleet(self) -> bool:
+        return self.backend.mode in ("gateway", "socket")
 
-        All instances live behind the same front door — a multi-process
-        :class:`~repro.service.FleetGateway` (``gateway`` mode) or that
-        gateway behind a TCP :class:`~repro.service.WireServer`
-        (``socket`` mode, ``backend.clients`` wire connections per
-        instance).  Each instance is registered on its routing-table
-        shard, its op stream replays with explicit per-instance sequence
-        numbers, and the per-instance accounting is read back from the
-        shard that owns it.  ``n_jobs`` controls how many instances'
-        streams are in flight at once (the submitter threads; the shard
-        processes do the predictor work).
-
-        While the submitters run, ``reshard_hook`` (if any) executes on
-        its own thread against the live gateway — the hook migrates
-        instances and resizes the shard set *mid-replay*, and the
-        determinism contract requires the results to stay bit-identical
-        anyway (the reshard-parity suite holds exactly this).  The hook
-        is joined before final accounting is read, so its moves are
-        fully settled in the stats.
-        """
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-        from contextlib import ExitStack
-
-        from repro.service.gateway import FleetGateway
-
-        config = _backend_gateway_config(backend, self.collect_components)
-        gateway = FleetGateway(
-            config,
-            stage_config=self.stage_config,
+    def _replay_fleet(self, traces: Sequence[Trace]) -> List[InstanceReplay]:
+        """Replay every trace through one shared front door, with
+        ``n_jobs`` instances' streams in flight at once."""
+        return replay_fleet(
+            traces,
+            self.backend,
             global_model=self.global_model,
+            config=self.stage_config,
             random_state=self.random_state,
+            collect_components=self.collect_components,
+            n_submitters=resolve_n_jobs(self.n_jobs, max(len(traces), 1)),
+            reshard_hook=self.reshard_hook,
         )
-        with ExitStack() as stack:
-            if backend.mode == "socket":
-                from repro.service.wire import WireServer, _SocketReplayContext
-
-                server = WireServer(gateway, backend.wire)
-                ctx = stack.enter_context(_SocketReplayContext(gateway, server))
-                register = ctx.register
-
-                def replay(trace: Trace):
-                    return ctx.replay(trace, n_connections=backend.clients)
-
-                read_stats = ctx.instance_stats
-            else:
-                stack.callback(gateway.close)
-                register = gateway.register_instance
-
-                def replay(trace: Trace):
-                    return gateway.replay_components(trace, n_clients=backend.clients)
-
-                def read_stats():
-                    gateway.drain()
-                    return gateway.stats()["instances"]
-
-            for trace in traces:
-                register(trace.instance)
-
-            hook_errors: List[BaseException] = []
-            hook_thread: Optional[threading.Thread] = None
-            if self.reshard_hook is not None:
-
-                def run_hook():
-                    try:
-                        self.reshard_hook(gateway)
-                    except BaseException as exc:
-                        hook_errors.append(exc)
-
-                hook_thread = threading.Thread(
-                    target=run_hook, name="reshard-hook", daemon=True
-                )
-                hook_thread.start()
-
-            n_submitters = resolve_n_jobs(self.n_jobs, max(len(traces), 1))
-            if n_submitters == 1:
-                components_per_trace = [replay(trace) for trace in traces]
-            else:
-                with ThreadPoolExecutor(max_workers=n_submitters) as pool:
-                    components_per_trace = list(pool.map(replay, traces))
-            if hook_thread is not None:
-                # the hook must settle before accounting is read (and a
-                # failed reshard must fail the sweep, not pass silently)
-                hook_thread.join()
-                if hook_errors:
-                    raise hook_errors[0]
-            instance_stats = read_stats()
-        return [
-            assemble_replay(
-                trace,
-                components,
-                instance_stats[trace.instance.instance_id]["stage"],
-                config=self.stage_config,
-                global_model=self.global_model,
-                random_state=self.random_state,
-                collect_components=self.collect_components,
-            )
-            for trace, components in zip(traces, components_per_trace)
-        ]
 
     # ------------------------------------------------------------------
     def replay_indices(
@@ -345,21 +216,21 @@ class FleetSweeper:
         pure functions of ``(fleet_config, index)``) and fed through the
         shared gateway instead.
         """
-        backend = self._check_backend()
-        if backend.mode in ("gateway", "socket"):
+        self._check_backend()
+        if self._shared_fleet:
             gen = FleetGenerator(self.fleet_config)
             traces = [
                 gen.generate_trace(gen.sample_instance(int(index)), duration_days)
                 for index in indices
             ]
-            return self._replay_fleet(traces, backend)
+            return self._replay_fleet(traces)
         payloads = [(self.fleet_config, duration_days, int(index)) for index in indices]
-        return self._map(_replay_index_worker, payloads, backend)
+        return self._map(_replay_index_worker, payloads)
 
     def replay_traces(self, traces: Sequence[Trace]) -> List[InstanceReplay]:
         """Replay pre-built traces, preserving their order."""
-        backend = self._check_backend()
-        if backend.mode in ("gateway", "socket"):
-            return self._replay_fleet(traces, backend)
+        self._check_backend()
+        if self._shared_fleet:
+            return self._replay_fleet(traces)
         payloads = [(trace,) for trace in traces]
-        return self._map(_replay_trace_worker, payloads, backend)
+        return self._map(_replay_trace_worker, payloads)

@@ -20,10 +20,10 @@ Component collection never perturbs the predictors it is measuring:
 
 The batched path is :class:`~repro.core.stage.BatchRouter` — the same
 engine the online :class:`~repro.service.PredictionService` schedules
-micro-batches through.  ``via_service=True`` replays the trace *through*
-a live service (concurrent clients, micro-batch scheduler and all) and
-must reproduce the direct replay bit-for-bit; ``tests/test_service.py``
-enforces that parity.
+micro-batches through.  ``backend=ReplayBackend(mode="service")`` replays
+the trace *through* a live service (concurrent clients, micro-batch
+scheduler and all) and must reproduce the direct replay bit-for-bit;
+``tests/test_service.py`` enforces that parity.
 
 ``component_inference="per_query"`` keeps the reference per-query
 implementation (one extra ensemble inference per eligible query) for
@@ -32,19 +32,17 @@ parity tests and for benchmarking the cost of the batched path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+import itertools
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
+from dataclasses import dataclass, field, replace
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.autowlm import AutoWLMPredictor
-from repro.core.config import (
-    GatewayConfig,
-    ReplayBackend,
-    ServiceConfig,
-    StageConfig,
-    WireConfig,
-)
+from repro.core.config import ReplayBackend, StageConfig
 from repro.core.interfaces import PredictionSource
 from repro.core.stage import BatchRouter, RoutedComponents, StagePredictor
 from repro.global_model.model import GlobalModel
@@ -55,8 +53,8 @@ __all__ = [
     "COMPONENT_INFERENCE_MODES",
     "InstanceReplay",
     "assemble_replay",
+    "replay_fleet",
     "replay_instance",
-    "resolve_backend",
     "stage_stats_of",
 ]
 
@@ -129,12 +127,12 @@ def assemble_replay(
 ) -> InstanceReplay:
     """Build an :class:`InstanceReplay` from per-query routed components.
 
-    The one assembly path behind every replay mode — direct,
-    ``via_service`` and the fleet gateway's ``via_gateway`` sweeps all
-    produce a :class:`RoutedComponents` list plus the predictor's final
-    accounting, and everything downstream (arrays, the independent
-    AutoWLM baseline, the batched global-model column) is derived here,
-    so the modes cannot drift in how results are reported.
+    The one assembly path behind every replay mode — direct, service,
+    gateway and socket replays all produce a :class:`RoutedComponents`
+    list plus the predictor's final accounting, and everything
+    downstream (arrays, the independent AutoWLM baseline, the batched
+    global-model column) is derived here, so the modes cannot drift in
+    how results are reported.
     """
     config = config or StageConfig()
     n = len(trace)
@@ -285,161 +283,130 @@ def _routed_components_direct(
     return [slot.components for slot in slots]
 
 
-def resolve_backend(
-    backend: Optional[ReplayBackend] = None,
-    via_service: bool = False,
-    via_socket: bool = False,
-    via_gateway: bool = False,
-    service_config: Optional[ServiceConfig] = None,
-    service_clients: int = 1,
-    gateway_config: Optional[GatewayConfig] = None,
-    wire_config: Optional[WireConfig] = None,
-) -> ReplayBackend:
-    """Fold the deprecated ``via_*`` kwargs into one :class:`ReplayBackend`.
-
-    The legacy booleans and per-tier config kwargs remain accepted as
-    thin shims; passing ``backend`` together with any of them is an
-    error (two sources of truth).  The mutual-exclusion rule between the
-    ``via_*`` flags is enforced here with its historical message.
-    """
-    from dataclasses import replace
-
-    modes = [
-        name
-        for name, flag in (
-            ("via_service", via_service),
-            ("via_gateway", via_gateway),
-            ("via_socket", via_socket),
-        )
-        if flag
-    ]
-    if len(modes) > 1:
-        raise ValueError(f"{' and '.join(modes)} are mutually exclusive")
-    legacy = bool(
-        modes
-        or service_config is not None
-        or gateway_config is not None
-        or wire_config is not None
-        or service_clients != 1
-    )
-    if backend is not None:
-        if legacy:
-            raise ValueError(
-                "backend and the deprecated via_*/config replay kwargs "
-                "are mutually exclusive"
-            )
-        return backend
-    mode = modes[0][len("via_") :] if modes else "direct"
-    resolved = ReplayBackend(mode=mode, clients=max(1, int(service_clients)))
-    if service_config is not None:
-        resolved = replace(resolved, service=service_config)
-    if gateway_config is not None:
-        resolved = replace(resolved, gateway=gateway_config)
-    if wire_config is not None:
-        resolved = replace(resolved, wire=wire_config)
-    return resolved
-
-
-def _backend_gateway_config(
-    backend: ReplayBackend, collect_components: bool
-) -> GatewayConfig:
-    """The gateway config for the sharded modes, with the replay's
-    component-collection flag folded into the per-shard service knobs.
-    ``backend.service`` overrides the gateway's embedded service config
-    only when it was explicitly customised, matching the old kwarg
-    precedence (``service_config`` beat ``gateway_config.service``)."""
-    from dataclasses import replace
-
-    service = backend.service if backend.service != ServiceConfig() else backend.gateway.service
-    return replace(
-        backend.gateway,
-        service=replace(service, collect_components=collect_components),
-    )
-
-
-def _routed_components_via_backend(
-    trace: Trace,
+def replay_fleet(
+    traces: Sequence[Trace],
     backend: ReplayBackend,
-    stage_config: Optional[StageConfig],
-    global_model: Optional[GlobalModel],
-    random_state: int,
-    collect_components: bool,
-):
-    """Replay the trace through the serving tier ``backend`` names.
+    global_model: Optional[GlobalModel] = None,
+    config: StageConfig | None = None,
+    random_state: int = 0,
+    collect_components: bool = True,
+    n_submitters: int = 1,
+    reshard_hook: Optional[Callable[[object], None]] = None,
+) -> List[InstanceReplay]:
+    """Replay every trace through one shared, sharded fleet tier.
 
-    Every mode funnels into the one
-    :func:`repro.service.replay_trace_via_client` driver behind a
-    tier-appropriate :class:`~repro.service.PredictorClient` — a live
-    :class:`~repro.service.PredictionService` (``"service"``), a sharded
-    multi-process :class:`~repro.service.FleetGateway` (``"gateway"``),
-    or ``backend.clients`` real TCP connections against a
-    :class:`~repro.service.WireServer` (``"socket"``).  The determinism
-    contract makes all of them reproduce the direct replay bit-for-bit.
+    All instances live behind the same front door — a multi-process
+    :class:`~repro.service.FleetGateway` (``backend.mode == "gateway"``)
+    or that gateway behind a TCP :class:`~repro.service.WireServer`
+    (``"socket"``, ``backend.clients`` wire connections per instance,
+    with registration and accounting over an admin connection so they
+    cross the socket too).  Each instance's op stream goes through the
+    one :func:`~repro.service.replay_trace_via_client` driver, and its
+    accounting is read back from the shard that owns it.
+    ``n_submitters`` instances' streams are in flight at once (the
+    submitter threads; the shard processes do the predictor work).
 
-    Returns ``(components, stage_stats)``.
+    While the submitters run, ``reshard_hook`` (if any) executes on its
+    own thread against the live gateway — it may migrate instances and
+    resize the shard set *mid-replay*, and the determinism contract
+    requires the results to stay bit-identical anyway.  The hook is
+    joined before final accounting is read, so its moves are fully
+    settled in the stats, and any exception it raises fails the replay.
     """
-    from dataclasses import replace
+    # lazy: direct replays (and their pool workers) never load the
+    # serving stack
+    from repro.service import (
+        FleetGateway,
+        WireClient,
+        WireServer,
+        replay_trace_via_client,
+        shared_client,
+    )
 
-    if backend.mode == "service":
-        from repro.service import PredictionService
-
-        service_config = replace(
-            backend.service, collect_components=collect_components
-        )
-        service = PredictionService(
-            trace.instance,
-            global_model=global_model,
-            stage_config=stage_config,
-            service_config=service_config,
-            random_state=random_state,
-        )
-        try:
-            components = service.replay_components(trace, n_clients=backend.clients)
-            service.drain()
-            stats = stage_stats_of(service.stage)
-        finally:
-            # always stop the worker thread: a failed replay must not
-            # leak a live scheduler (close also fails gap-stranded ops)
-            service.close()
-        return components, stats
-
-    config = _backend_gateway_config(backend, collect_components)
-    if backend.mode == "gateway":
-        from repro.service.gateway import FleetGateway
-
+    if backend.mode not in ("gateway", "socket"):
+        raise ValueError(f'replay_fleet needs mode "gateway" or "socket", got {backend.mode!r}')
+    gateway_config = replace(
+        backend.gateway,
+        service=replace(backend.service, collect_components=collect_components),
+    )
+    with ExitStack() as stack:
         gateway = FleetGateway(
-            config,
-            stage_config=stage_config,
+            gateway_config,
+            stage_config=config,
             global_model=global_model,
             random_state=random_state,
         )
-        try:
-            gateway.register_instance(trace.instance)
-            components = gateway.replay_components(trace, n_clients=backend.clients)
-            gateway.drain()
-            stats = gateway.stats()["instances"][trace.instance.instance_id]["stage"]
-        finally:
-            gateway.close()
-        return components, stats
+        stack.callback(gateway.close)
+        over_socket = backend.mode == "socket"
+        if over_socket:
+            server = WireServer(gateway, backend.wire)
+            stack.callback(server.close)
+            host, port = server.start()
+            admin = stack.enter_context(WireClient(host, port, name="replay-admin"))
+        else:
+            admin = gateway
+        # the per-tier timeouts: the gateway's drain budget in process,
+        # a fixed 300 s over the socket
+        timeout = 300.0 if over_socket else gateway_config.drain_timeout_s
 
-    if backend.mode == "socket":
-        from repro.service.gateway import FleetGateway
-        from repro.service.wire import WireServer, _SocketReplayContext
+        def client_factory(trace: Trace):
+            """Shared in-process gateway, or one TCP connection per worker."""
+            if not over_socket:
+                return shared_client(gateway)
+            instance_id = trace.instance.instance_id
+            connection_ids = itertools.count()
+            return lambda: WireClient(
+                host, port, name=f"replay-{instance_id}-{next(connection_ids)}"
+            )
 
-        gateway = FleetGateway(
-            config,
-            stage_config=stage_config,
+        for trace in traces:
+            admin.register_instance(trace.instance)
+
+        hook_errors: List[BaseException] = []
+        hook_thread: Optional[threading.Thread] = None
+        if reshard_hook is not None:
+
+            def run_hook():
+                try:
+                    reshard_hook(gateway)
+                except BaseException as exc:
+                    hook_errors.append(exc)
+
+            hook_thread = threading.Thread(target=run_hook, name="reshard-hook", daemon=True)
+            hook_thread.start()
+
+        def replay(trace: Trace) -> List[RoutedComponents]:
+            return replay_trace_via_client(
+                client_factory(trace), trace, backend.clients, timeout=timeout
+            )
+
+        if n_submitters <= 1:
+            components_per_trace = [replay(trace) for trace in traces]
+        else:
+            with ThreadPoolExecutor(max_workers=n_submitters) as pool:
+                components_per_trace = list(pool.map(replay, traces))
+        if hook_thread is not None:
+            # the hook must settle before accounting is read (and a
+            # failed reshard must fail the replay, not pass silently)
+            hook_thread.join()
+            if hook_errors:
+                raise hook_errors[0]
+        gateway.drain()
+        stats = admin.stats()
+        # the wire STATS op wraps the gateway's stats under "gateway"
+        instance_stats = (stats["gateway"] if over_socket else stats)["instances"]
+    return [
+        assemble_replay(
+            trace,
+            components,
+            instance_stats[trace.instance.instance_id]["stage"],
+            config=config,
             global_model=global_model,
             random_state=random_state,
+            collect_components=collect_components,
         )
-        server = WireServer(gateway, backend.wire)
-        with _SocketReplayContext(gateway, server) as ctx:
-            ctx.register(trace.instance)
-            components = ctx.replay(trace, n_connections=backend.clients)
-            stats = ctx.instance_stats()[trace.instance.instance_id]["stage"]
-        return components, stats
-
-    raise ValueError(f"unknown replay backend mode {backend.mode!r}")
+        for trace, components in zip(traces, components_per_trace)
+    ]
 
 
 def replay_instance(
@@ -450,12 +417,6 @@ def replay_instance(
     collect_components: bool = True,
     component_inference: str = "batched",
     backend: ReplayBackend | None = None,
-    via_service: bool = False,
-    service_config: ServiceConfig | None = None,
-    service_clients: int = 1,
-    via_socket: bool = False,
-    gateway_config: GatewayConfig | None = None,
-    wire_config: WireConfig | None = None,
 ) -> InstanceReplay:
     """Replay one instance's trace through Stage and AutoWLM.
 
@@ -477,31 +438,29 @@ def replay_instance(
     concurrent submitters), ``"gateway"`` (a sharded multi-process
     :class:`~repro.service.FleetGateway`) or ``"socket"`` (real TCP
     connections against a :class:`~repro.service.WireServer` fronting a
-    gateway).  The determinism contract makes every mode bit-identical
-    to the direct path — arrays *and* accounting — for any batch size,
-    shard count or client/connection count.
-
-    ``via_service`` / ``via_socket`` and the per-tier config kwargs are
-    the deprecated spelling of ``backend``; they are folded into one via
-    :func:`resolve_backend` and cannot be combined with it.
+    gateway); the last two are :func:`replay_fleet` with one trace.
+    The determinism contract makes every mode bit-identical to the
+    direct path — arrays *and* accounting — for any batch size, shard
+    count or client/connection count.
     """
     if component_inference not in COMPONENT_INFERENCE_MODES:
         raise ValueError(f"component_inference must be one of {COMPONENT_INFERENCE_MODES}")
-    backend = resolve_backend(
-        backend,
-        via_service=via_service,
-        via_socket=via_socket,
-        service_config=service_config,
-        service_clients=service_clients,
-        gateway_config=gateway_config,
-        wire_config=wire_config,
-    )
+    backend = backend or ReplayBackend()
     if backend.mode != "direct" and component_inference != "batched":
         raise ValueError(
             "service/gateway/socket replays route through the batched "
             'path; use component_inference="batched"'
         )
     config = config or StageConfig()
+    if backend.mode in ("gateway", "socket"):
+        return replay_fleet(
+            [trace],
+            backend,
+            global_model=global_model,
+            config=config,
+            random_state=random_state,
+            collect_components=collect_components,
+        )[0]
 
     if component_inference == "per_query":
         stage = StagePredictor(
@@ -532,15 +491,26 @@ def replay_instance(
             stage.observe(record)
             components.append(routed)
         stats = stage_stats_of(stage)
-    elif backend.mode != "direct":
-        components, stats = _routed_components_via_backend(
-            trace,
-            backend,
-            config,
-            global_model,
-            random_state,
-            collect_components,
-        )
+    elif backend.mode == "service":
+        from repro.service import PredictionService, replay_trace_via_client, shared_client
+
+        # closing on exit always stops the worker thread: a failed replay
+        # must not leak a live scheduler (close also fails gap-stranded ops)
+        with PredictionService(
+            trace.instance,
+            global_model=global_model,
+            stage_config=config,
+            service_config=replace(backend.service, collect_components=collect_components),
+            random_state=random_state,
+        ) as service:
+            components = replay_trace_via_client(
+                shared_client(service),
+                trace,
+                backend.clients,
+                timeout=service.config.drain_timeout_s,
+            )
+            service.drain()
+            stats = stage_stats_of(service.stage)
     else:
         stage = StagePredictor(
             trace.instance,

@@ -29,7 +29,7 @@ import argparse
 import os
 from dataclasses import replace
 
-from repro.core.config import ServiceConfig
+from repro.core.config import ReplayBackend, ServiceConfig
 
 from .engine import (
     ScenarioRunner,
@@ -107,13 +107,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--clients",
         type=int,
-        default=defaults.service_clients,
+        default=defaults.backend.clients,
         help="concurrent service clients (with --via-service)",
     )
     parser.add_argument(
         "--batch-size",
         type=int,
-        default=ServiceConfig().max_batch_size,
+        default=defaults.backend.service.max_batch_size,
         help="service micro-batch size (with --via-service)",
     )
     parser.add_argument("--out", default=DEFAULT_OUT)
@@ -140,23 +140,22 @@ def main(argv=None) -> int:
         return 0
 
     defaults = ScenarioSweepConfig()
-    if not args.via_service and (
-        args.clients != defaults.service_clients
-        or args.batch_size != ServiceConfig().max_batch_size
-    ):
+    backend = ReplayBackend(
+        mode="service" if args.via_service else "direct",
+        clients=args.clients,
+        service=ServiceConfig(max_batch_size=args.batch_size),
+    )
+    if not args.via_service and backend != defaults.backend:
         parser.error("--clients/--batch-size only apply with --via-service")
     scenarios = None
     if args.scenarios:
         scenarios = [get_scenario(name) for name in args.scenarios]
-    service_config = ServiceConfig(max_batch_size=args.batch_size) if args.via_service else None
     config = ScenarioSweepConfig(
         seed=args.seed,
         n_instances=args.instances,
         duration_days=args.duration_days,
         volume_scale=args.volume_scale,
-        via_service=args.via_service,
-        service_config=service_config,
-        service_clients=args.clients,
+        backend=backend,
         n_jobs=args.jobs,
     )
     # The default --out is the committed, CI-drift-gated reference file;

@@ -7,9 +7,8 @@ holds the built-in suite plus anything callers
 :func:`register_scenario`; :class:`ScenarioRunner` fans the registered
 matrix over the existing :class:`~repro.harness.parallel.FleetSweeper`
 and can replay every scenario *through* the online
-:class:`~repro.service.PredictionService` (``via_service=True``) or the
-sharded multi-process :class:`~repro.service.FleetGateway`
-(``via_gateway=True``).
+:class:`~repro.service.PredictionService` or the sharded multi-process
+:class:`~repro.service.FleetGateway` (``ScenarioSweepConfig.backend``).
 
 Both of the repo's hard contracts extend to every scenario:
 
@@ -17,7 +16,7 @@ Both of the repo's hard contracts extend to every scenario:
   per-instance-seeded transforms riding inside ``FleetConfig``, so any
   ``n_jobs`` regenerates bit-identical traces and replays;
 - **direct/service bit-parity** — the serving path routes through the
-  same :class:`~repro.core.stage.BatchRouter`, so ``via_service`` matrix
+  same :class:`~repro.core.stage.BatchRouter`, so service-backed matrix
   runs reproduce the direct matrix bit-for-bit.
 
 ``tests/test_scenarios.py`` enforces both for every registered
@@ -32,15 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import (
-    CacheConfig,
-    ForecastConfig,
-    GatewayConfig,
-    ReplayBackend,
-    ServiceConfig,
-    StageConfig,
-    fast_profile,
-)
+from repro.core.config import ForecastConfig, ReplayBackend, StageConfig, fast_profile
 from repro.core.metrics import absolute_errors, q_errors
 from repro.harness.parallel import FleetSweeper
 from repro.harness.replay import InstanceReplay
@@ -176,13 +167,7 @@ class ScenarioSweepConfig:
     #: which serving tier every replay routes through
     #: (:class:`~repro.core.config.ReplayBackend`); bit-identical across
     #: modes by the determinism contract
-    backend: Optional[ReplayBackend] = None
-    #: deprecated spelling of ``backend``; cannot be combined with it
-    via_service: bool = False
-    service_config: Optional[ServiceConfig] = None
-    service_clients: int = 1
-    via_gateway: bool = False
-    gateway_config: Optional[GatewayConfig] = None
+    backend: ReplayBackend = field(default_factory=ReplayBackend)
     #: worker processes per scenario sweep; any value is bit-identical
     n_jobs: int = 1
     #: forecast-vs-reactive scoring (the matrix's ``fc-*`` delta
@@ -204,8 +189,6 @@ class ScenarioSweepConfig:
             raise ValueError("duration_days must be positive")
         if self.volume_scale <= 0:
             raise ValueError("volume_scale must be positive")
-        if self.service_clients < 1:
-            raise ValueError("service_clients must be >= 1")
         if self.forecast_cache_capacity < 1:
             raise ValueError("forecast_cache_capacity must be >= 1")
         if self.forecast_duration_days <= 0:
@@ -296,11 +279,6 @@ class ScenarioRunner:
             stage_config=stage_config if stage_config is not None else cfg.stage,
             random_state=cfg.seed,
             backend=cfg.backend,
-            via_service=cfg.via_service,
-            service_config=cfg.service_config,
-            service_clients=cfg.service_clients,
-            via_gateway=cfg.via_gateway,
-            gateway_config=cfg.gateway_config,
             n_jobs=cfg.n_jobs,
         )
 
@@ -407,7 +385,7 @@ def render_matrix(results: Sequence[ScenarioResult], config: ScenarioSweepConfig
         "Scenario stress matrix: Stage vs AutoWLM under workload mutations\n"
         f"({config.n_instances} instances x {config.duration_days} days, "
         f"volume_scale={config.volume_scale}, seed={config.seed}, "
-        f"via_service={config.via_service})\n"
+        f"via_service={config.backend.mode == 'service'})\n"
         "fc-* columns: forecast-driven vs reactive serving deltas "
         "(cache hit rate / p99 abs error), scored at cache="
         f"{config.forecast_cache_capacity}, "

@@ -23,8 +23,8 @@ package provides that deployment shape:
 - :class:`PredictorClient` — the one futures-based client protocol all
   three serving tiers implement (:func:`shared_client` adapts an
   in-process tier into the client-factory shape, and
-  :func:`replay_trace_via_client` is the single replay driver the
-  harness's every ``via_*`` mode now runs through);
+  :func:`replay_trace_via_client` is the single replay driver every
+  ``ReplayBackend`` mode of the harness runs through);
 - :class:`FleetController` / :func:`plan_rebalance` — the elastic
   control plane: a load-watching rebalancer over the gateway's
   versioned routing table, executing live cut-sequence migrations and
@@ -41,8 +41,8 @@ model, a residual-variance head for the global model — and both
 ``PredictionService.stats()`` and the gateway's fleet roll-up report
 interval-width percentiles from mergeable fixed-bin histograms.  The
 interval arrays obey the same bit-parity contracts as the points
-(direct vs ``via_service`` vs ``via_gateway``, any shard/batch/client
-count); see ``examples/uncertainty_serving.py``.
+(direct vs service vs gateway replays, any shard/batch/client count);
+see ``examples/uncertainty_serving.py``.
 """
 
 from repro.core.config import ControlConfig, GatewayConfig, ServiceConfig, WireConfig

@@ -7,7 +7,7 @@ Four tiers can serve a Stage prediction — in-process
 futures-based surface: :class:`PredictorClient`.  The replay harness,
 the scenario engine and the fleet control plane program against this
 protocol only, so a new tier (or a test double) plugs in by implementing
-five methods instead of growing another ``via_*`` special case.
+five methods instead of growing a special case in each of them.
 
 :func:`replay_trace_via_client` is the one replay driver built on it:
 given a *client factory* (a zero-arg callable returning a context

@@ -54,8 +54,8 @@ Architecture
   shard count, shard assignment, client threading, queue bounds or
   batch knobs.  Every instance op carries an explicit per-instance
   sequence number assigned at the gateway, and the shard-side scheduler
-  executes in sequence order, so ``FleetSweeper`` direct, ``via_service``
-  and ``via_gateway`` replays are bit-identical (arrays *and*
+  executes in sequence order, so direct, service and gateway replays
+  (``ReplayBackend.mode``) are bit-identical (arrays *and*
   cache/counter accounting) for any shard/client count.
 - **Crash containment.** A shard process dying fails exactly that
   shard's in-flight futures with :class:`ShardCrashedError` (carrying
@@ -895,15 +895,18 @@ class FleetGateway:
         """Claim ``count`` consecutive sequence slots for ``instance_id``.
 
         Returns the first reserved number.  Replay-style submitters
-        (:meth:`replay_components`, the wire protocol's RESERVE op)
-        reserve their whole range up front and then submit with explicit
-        ``seq`` values, so any client/connection interleaving reproduces
-        the same op stream.  Every reserved slot must eventually be
-        submitted: the shard scheduler executes in sequence order and
-        waits behind gaps.
+        (:func:`~repro.service.replay_trace_via_client`, the wire
+        protocol's RESERVE op) reserve their whole range up front and
+        then submit with explicit ``seq`` values, so any
+        client/connection interleaving reproduces the same op stream.
+        Every reserved slot must eventually be submitted: the shard
+        scheduler executes in sequence order and waits behind gaps.  A
+        closed gateway refuses reservations like every other op.
         """
         if count < 0:
             raise ValueError("count must be >= 0")
+        if self._closed:
+            raise RuntimeError("gateway is closed")
         lock = self._instance_lock(instance_id)
         with lock:
             base = self._instance_seq[instance_id]
@@ -1261,30 +1264,6 @@ class FleetGateway:
         if not shard.crashed:
             self._request_shutdown(shard, deadline)
         self._reap_shard(shard, deadline)
-
-    # ------------------------------------------------------------------
-    # replay hook (harness / scenario engine)
-    # ------------------------------------------------------------------
-    def replay_components(self, trace, n_clients: int = 1, timeout: Optional[float] = None):
-        """Replay one instance's fused predict/observe stream, concurrently.
-
-        The gateway analogue of
-        :meth:`PredictionService.replay_components`, routed through the
-        one :func:`~repro.service.replay_trace_via_client` driver:
-        ``n_clients`` threads submit with explicit per-instance sequence
-        numbers reserved up front, so any client interleaving — and any
-        shard count — reproduces the direct replay bit-for-bit.  Returns
-        the per-query components in trace order.
-        """
-        from .client import replay_trace_via_client, shared_client
-
-        if timeout is None:
-            timeout = self.config.drain_timeout_s
-        if self._closed:
-            raise RuntimeError("gateway is closed")
-        return replay_trace_via_client(
-            shared_client(self), trace, n_clients=n_clients, timeout=timeout
-        )
 
     # ------------------------------------------------------------------
     # fleet-wide barriers and accounting

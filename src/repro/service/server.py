@@ -20,8 +20,8 @@ the predictor into the micro-batch scheduler and exposes:
 Determinism contract (inherited from the scheduler + batch router):
 results depend only on the sequence-ordered op stream, never on batch
 sizes, latency budgets, client threading or flush timing.  The replay
-harness's ``via_service`` mode and ``tests/test_service.py`` hold the
-service to bit-identical parity with the offline replay.
+harness's service mode and ``tests/test_service.py`` hold the service to
+bit-identical parity with the offline replay.
 """
 
 from __future__ import annotations
@@ -77,16 +77,6 @@ class PredictionService:
         self, stage: StagePredictor, service_config: Optional[ServiceConfig]
     ) -> None:
         self.config = service_config or ServiceConfig()
-        if self.config.defer_retrains_to_troughs:
-            if stage.forecast is None:
-                raise ValueError(
-                    "defer_retrains_to_troughs requires a forecast-enabled "
-                    "StageConfig (set StageConfig.forecast)"
-                )
-            # equivalent to ForecastConfig(defer_retrains=True) on the
-            # stage config — the parity tests hold the two spellings to
-            # bit-identical replays
-            stage.defer_retrains = True
         self.stage = stage
         self.router = BatchRouter(stage, collect_cache_hit_local=self.config.collect_components)
         self.scheduler = MicroBatchScheduler(self.router, self.config)
@@ -178,45 +168,6 @@ class PredictionService:
                 f"(it serves {self.instance_id!r})"
             )
         return self.scheduler.reserve(count)
-
-    # ------------------------------------------------------------------
-    # replay hook (offline harness + scenario engine)
-    # ------------------------------------------------------------------
-    def replay_components(self, trace, n_clients: int = 1, timeout: Optional[float] = None):
-        """Replay a trace's fused predict/observe op stream, concurrently.
-
-        ``n_clients`` threads submit the stream with explicit sequence
-        numbers (query ``i``'s predict is op ``base + 2i``, its observe
-        op ``base + 2i + 1``, with ``base`` the scheduler's next free
-        slot — a warm service replays as well as a fresh one), so the
-        sequencer reconstructs arrival order regardless of client
-        interleaving — any client count and any batch knobs reproduce
-        the direct replay bit-for-bit.  This is the hook behind
-        ``replay_instance(via_service=True)`` and the scenario engine's
-        ``via_service`` matrix; replay discipline (outcomes already
-        known, so clients never wait between ops) is what distinguishes
-        it from the live :meth:`predict` path.  The service must be the
-        replay's for the duration: concurrent live submissions would
-        race the explicit sequence numbers.
-
-        Returns the per-query :class:`~repro.core.stage.RoutedComponents`
-        list, in trace order.  Submit failures on any client thread and
-        worker-side observe failures are both re-raised: a swallowed
-        observe would silently diverge the predictor state from the
-        direct replay.
-        """
-        from .client import replay_trace_via_client, shared_client
-
-        if timeout is None:
-            timeout = self.config.drain_timeout_s
-        if self.scheduler.closed:
-            # without this guard the client threads all die on submit and
-            # the failure surfaces as a generic scheduler error; say what
-            # the caller actually did wrong
-            raise RuntimeError("cannot replay through a closed service")
-        return replay_trace_via_client(
-            shared_client(self), trace, n_clients=n_clients, timeout=timeout
-        )
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -46,11 +46,11 @@ reader coroutine submits each instance op in frame arrival order and the
 gateway claims the instance's next slot under the shard submit lock, so
 "the op stream the client sent" is exactly "the op stream the predictor
 executes".  Replay-mode clients RESERVE a sequence range up front and
-submit with explicit seq values — :func:`replay_trace_via_socket` is the
-socket analogue of :meth:`FleetGateway.replay_components` and the
-``via_socket`` replay modes are bit-identical (arrays *and* cache and
-counter accounting) to direct, ``via_service`` and ``via_gateway``
-replays for any shard/connection count.
+submit with explicit seq values: a per-connection :class:`WireClient`
+factory drives :func:`~repro.service.replay_trace_via_client`, and
+socket replays (``ReplayBackend(mode="socket")``) are bit-identical
+(arrays *and* cache and counter accounting) to direct, service and
+gateway replays for any shard/connection count.
 
 Admission control
 -----------------
@@ -71,9 +71,8 @@ import struct
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.config import WireConfig
 
@@ -88,7 +87,6 @@ __all__ = [
     "WireError",
     "WireServer",
     "encode_frame",
-    "replay_trace_via_socket",
 ]
 
 MAGIC = b"STGW"
@@ -967,81 +965,3 @@ class WireClient:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-# ---------------------------------------------------------------------------
-# socket replay (the via_socket harness mode)
-# ---------------------------------------------------------------------------
-def replay_trace_via_socket(
-    host: str,
-    port: int,
-    trace,
-    n_connections: int = 1,
-    timeout: float = 300.0,
-) -> List:
-    """Replay one instance's fused predict/observe stream over real
-    TCP connections; returns per-query components in trace order.
-
-    The socket analogue of :meth:`FleetGateway.replay_components`,
-    routed through the one
-    :func:`~repro.service.replay_trace_via_client` driver with a real
-    per-worker connection factory: the whole sequence range is RESERVEd
-    up front, then ``n_connections`` connections submit strided
-    predict/observe pairs with explicit sequence numbers — so any
-    connection count and interleaving reproduces the direct replay
-    bit-for-bit.  Each connection collects its own responses before
-    closing (responses ride the connection their request used).
-    """
-    from .client import replay_trace_via_client
-
-    instance_id = trace.instance.instance_id
-    connection_ids = itertools.count()
-
-    def factory() -> WireClient:
-        return WireClient(
-            host, port, name=f"replay-{instance_id}-{next(connection_ids)}"
-        )
-
-    return replay_trace_via_client(
-        factory, trace, n_clients=n_connections, timeout=timeout
-    )
-
-
-@dataclass
-class _SocketReplayContext:
-    """A gateway fronted by a wire server plus an admin session — the
-    shared scaffolding of both via_socket replay entry points."""
-
-    gateway: FleetGateway
-    server: WireServer
-    admin: Optional[WireClient] = None
-    address: Tuple[str, int] = field(default=("", 0))
-
-    def __enter__(self) -> "_SocketReplayContext":
-        try:
-            self.address = self.server.start()
-            host, port = self.address
-            self.admin = WireClient(host, port, name="via-socket-admin")
-        except BaseException:
-            self.__exit__(None, None, None)
-            raise
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self.admin is not None:
-            self.admin.close()
-        self.server.close()
-        self.gateway.close()
-
-    def register(self, instance) -> int:
-        return self.admin.register_instance(instance)
-
-    def replay(self, trace, n_connections: int) -> List:
-        host, port = self.address
-        return replay_trace_via_socket(host, port, trace, n_connections=n_connections)
-
-    def instance_stats(self) -> Dict[str, dict]:
-        """Per-instance stats fetched over the wire — the accounting
-        side of the parity contract round-trips the socket too."""
-        self.gateway.drain()
-        return self.admin.stats()["gateway"]["instances"]

@@ -20,7 +20,13 @@ import pytest
 # shared parity helpers live with the service suite (one definition)
 from test_service import assert_replays_identical
 
-from repro.core.config import ControlConfig, GatewayConfig, ReplayBackend, fast_profile
+from repro.core.config import (
+    ControlConfig,
+    GatewayConfig,
+    ReplayBackend,
+    ServiceConfig,
+    fast_profile,
+)
 from repro.harness import FleetSweeper
 from repro.harness.replay import replay_instance
 from repro.scenarios import registered_scenarios
@@ -229,18 +235,16 @@ class TestReshardParity:
                 reshard_hook=bad_hook,
             ).replay_traces(traces)
 
-    def test_backend_excludes_legacy_kwargs(self, traces):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            make_sweeper(
-                backend=ReplayBackend(mode="gateway"), via_gateway=True
-            ).replay_traces(traces)
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            replay_instance(
-                traces[0],
-                config=fast_profile(),
-                backend=ReplayBackend(mode="service"),
-                via_service=True,
+    def test_backend_rejects_gateway_embedded_service_knobs(self):
+        """A replay's micro-batching knobs have one home: a customised
+        ``gateway.service`` is refused instead of silently ignored."""
+        with pytest.raises(ValueError, match=r"ReplayBackend\.service"):
+            ReplayBackend(
+                mode="gateway",
+                gateway=GatewayConfig(n_shards=2, service=ServiceConfig(max_batch_size=7)),
             )
+        # the one spelling: knobs on ReplayBackend.service, for every mode
+        ReplayBackend(mode="gateway", service=ServiceConfig(max_batch_size=7))
 
     def test_replay_instance_gateway_backend(self, traces, direct_replays):
         """`replay_instance` gains the gateway tier through the unified

@@ -16,7 +16,6 @@ multiprocessing start methods too.
 import pickle
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 # shared parity helper lives with the service suite (one definition)
@@ -28,7 +27,6 @@ from repro.core.config import (
     GatewayConfig,
     LocalModelConfig,
     ReplayBackend,
-    ServiceConfig,
     StageConfig,
     fast_profile,
 )
@@ -397,32 +395,6 @@ class TestRetrainDeferral:
         assert stage.local.n_retrains > 1  # warm retrains did run
         assert stage.n_trough_retrains > 0  # released by the bound
         assert stage.n_retrain_deferrals > 0  # after having been held
-
-    def test_service_knob_matches_config_spelling(self, traces):
-        """``ServiceConfig.defer_retrains_to_troughs`` is bit-identical
-        to spelling the deferral on the stage config directly."""
-        trace = traces[0]
-        via_knob = make_sweeper(
-            deferral_profile(defer_retrains=False),
-            backend=ReplayBackend(
-                mode="service",
-                service=ServiceConfig(defer_retrains_to_troughs=True),
-            ),
-        ).replay_traces([trace])[0]
-        via_config = make_sweeper(
-            deferral_profile(),
-            backend=ReplayBackend(mode="service"),
-        ).replay_traces([trace])[0]
-        assert via_knob.stage_stats == via_config.stage_stats
-        assert np.array_equal(via_knob.stage_pred, via_config.stage_pred)
-
-    def test_service_knob_requires_forecast(self, traces):
-        with pytest.raises(ValueError, match="forecast"):
-            PredictionService(
-                traces[0].instance,
-                stage_config=fast_profile(),
-                service_config=ServiceConfig(defer_retrains_to_troughs=True),
-            )
 
 
 # ---------------------------------------------------------------------------

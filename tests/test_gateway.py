@@ -1,8 +1,8 @@
 """Tests for the sharded multi-process fleet gateway.
 
 The headline contract is fleet-level bit-parity: for every registered
-scenario, ``FleetSweeper`` direct, ``via_service`` and ``via_gateway``
-replays produce identical arrays and cache/counter accounting for any
+scenario, ``FleetSweeper`` direct, service and gateway replays
+(``ReplayBackend`` modes) produce identical arrays and cache/counter accounting for any
 shard count and client count — shard assignment, process boundaries,
 queue bounds and client interleaving are all invisible.  On top of that,
 shard routing (golden values + cross-process stability), permutation
@@ -22,7 +22,7 @@ import pytest
 # shared parity helpers live with the service suite (one definition)
 from test_service import assert_replays_identical
 
-from repro.core.config import GatewayConfig, ServiceConfig, fast_profile
+from repro.core.config import GatewayConfig, ReplayBackend, ServiceConfig, fast_profile
 from repro.harness import FleetSweeper
 from repro.parallelism import pool_map
 from repro.scenarios import registered_scenarios
@@ -35,6 +35,12 @@ DURATION = 0.7
 N_INSTANCES = 3
 
 FLEET = FleetConfig(seed=SEED, volume_scale=VOLUME)
+
+
+def gateway_backend(n_shards=2, clients=1, **kwargs):
+    return ReplayBackend(
+        mode="gateway", clients=clients, gateway=GatewayConfig(n_shards=n_shards), **kwargs
+    )
 
 
 def make_sweeper(**kwargs):
@@ -59,7 +65,7 @@ def direct_replays(traces):
 
 @pytest.fixture(scope="module")
 def via_service_replays(traces):
-    return make_sweeper(via_service=True, service_clients=2).replay_traces(traces)
+    return make_sweeper(backend=ReplayBackend(mode="service", clients=2)).replay_traces(traces)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +109,7 @@ class TestShardRouting:
 
 
 # ---------------------------------------------------------------------------
-# fleet bit-parity: direct vs via_service vs via_gateway
+# fleet bit-parity: direct vs service vs gateway replays
 # ---------------------------------------------------------------------------
 class TestGatewayParity:
     @pytest.mark.parametrize(
@@ -113,10 +119,9 @@ class TestGatewayParity:
         self, traces, direct_replays, via_service_replays, n_shards, service_clients
     ):
         via_gateway = make_sweeper(
-            via_gateway=True,
-            gateway_config=GatewayConfig(n_shards=n_shards),
-            service_config=ServiceConfig(max_batch_size=7),
-            service_clients=service_clients,
+            backend=gateway_backend(
+                n_shards, service_clients, service=ServiceConfig(max_batch_size=7)
+            )
         ).replay_traces(traces)
         for direct, via_svc, via_gw in zip(direct_replays, via_service_replays, via_gateway):
             assert_replays_identical(direct, via_gw)
@@ -126,19 +131,12 @@ class TestGatewayParity:
         """n_jobs > 1 replays several instances' streams through the
         gateway at once (thread submitters over the shard processes);
         per-instance sequencing keeps it bit-identical."""
-        via = make_sweeper(
-            via_gateway=True,
-            gateway_config=GatewayConfig(n_shards=2),
-            service_clients=2,
-            n_jobs=3,
-        ).replay_traces(traces)
+        via = make_sweeper(backend=gateway_backend(2, 2), n_jobs=3).replay_traces(traces)
         for direct, replay in zip(direct_replays, via):
             assert_replays_identical(direct, replay)
 
     def test_replay_indices_matches_replay_traces(self, traces, direct_replays):
-        via = make_sweeper(
-            via_gateway=True, gateway_config=GatewayConfig(n_shards=2)
-        ).replay_indices(range(N_INSTANCES), DURATION)
+        via = make_sweeper(backend=gateway_backend()).replay_indices(range(N_INSTANCES), DURATION)
         for direct, replay in zip(direct_replays, via):
             assert_replays_identical(direct, replay)
 
@@ -147,20 +145,14 @@ class TestGatewayParity:
         yields the same per-instance arrays (per-instance op streams are
         independent; shard assignment ignores arrival order)."""
         order = [2, 0, 1]
-        permuted = make_sweeper(
-            via_gateway=True, gateway_config=GatewayConfig(n_shards=2)
-        ).replay_traces([traces[i] for i in order])
+        permuted = make_sweeper(backend=gateway_backend()).replay_traces([traces[i] for i in order])
         for position, replay in zip(order, permuted):
             assert_replays_identical(direct_replays[position], replay)
-
-    def test_via_gateway_excludes_via_service(self, traces):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            make_sweeper(via_gateway=True, via_service=True).replay_traces(traces)
 
     def test_via_gateway_rejects_per_query_mode(self, traces):
         with pytest.raises(ValueError, match="batched"):
             make_sweeper(
-                via_gateway=True, component_inference="per_query"
+                backend=gateway_backend(), component_inference="per_query"
             ).replay_traces(traces)
 
 
@@ -180,10 +172,7 @@ class TestScenarioGatewayParity:
         fleet = FleetConfig(seed=5, volume_scale=VOLUME, scenario=scenario.config)
         direct = make_sweeper(fleet_config=fleet).replay_indices(range(2), 1.0)
         via = make_sweeper(
-            fleet_config=fleet,
-            via_gateway=True,
-            gateway_config=GatewayConfig(n_shards=n_shards),
-            service_clients=service_clients,
+            fleet_config=fleet, backend=gateway_backend(n_shards, service_clients)
         ).replay_indices(range(2), 1.0)
         for a, b in zip(direct, via):
             assert_replays_identical(a, b)

@@ -22,7 +22,9 @@ from repro.service import (
     FleetGateway,
     GatewayBackpressureError,
     ShardCrashedError,
+    replay_trace_via_client,
     shard_for,
+    shared_client,
 )
 from repro.workload import FleetConfig, FleetGenerator
 
@@ -79,7 +81,7 @@ class TestShardCrash:
                 survivor.instance.instance_id, survivor[0], timeout=60
             )
             assert prediction.exec_time >= 0.0
-            components = gateway.replay_components(survivor, n_clients=2)
+            components = replay_trace_via_client(shared_client(gateway), survivor, n_clients=2)
             assert len(components) == len(survivor)
 
             # fleet drain/metrics still work, reporting only live shards
@@ -151,9 +153,20 @@ class TestShutdownAndBackpressure:
         with pytest.raises(RuntimeError, match="closed"):
             gateway.register_instance(traces[0].instance)
         with pytest.raises(RuntimeError, match="closed"):
-            gateway.replay_components(trace)
+            replay_trace_via_client(shared_client(gateway), trace)
         with pytest.raises(RuntimeError, match="closed"):
             gateway.drain()
+
+    def test_reserve_sequence_after_shutdown_rejected(self, traces):
+        """Like every other public op, a sequence reservation on a
+        closed gateway fails with the "closed" error instead of handing
+        out slots nothing can ever serve."""
+        gateway, per_shard = two_shard_gateway(traces)
+        instance_id = next(iter(per_shard.values())).instance.instance_id
+        assert gateway.reserve_sequence(instance_id, 2) == 0
+        gateway.close()
+        with pytest.raises(RuntimeError, match="gateway is closed"):
+            gateway.reserve_sequence(instance_id, 2)
 
     def test_full_queue_backpressure_times_out_then_recovers(self, traces):
         gateway, per_shard = two_shard_gateway(

@@ -3,7 +3,7 @@
 The headline contracts: every registered scenario (1) generates
 bit-identical traces and replays for any ``n_jobs``, and (2) replays
 bit-identically through the online ``PredictionService``
-(``via_service=True``) — mutations are pure, per-instance-seeded
+(``ReplayBackend(mode="service")``) — mutations are pure, per-instance-seeded
 transforms, so neither process fan-out nor the serving path can change
 a single bit.  On top of that, each mutation's observable effect on the
 trace is pinned down individually, as are the registry semantics and
@@ -30,7 +30,7 @@ from repro.scenarios import (
     render_matrix,
 )
 from repro.scenarios.engine import _REGISTRY
-from repro.core.config import ServiceConfig, fast_profile
+from repro.core.config import ReplayBackend, ServiceConfig, fast_profile
 from repro.workload import FleetConfig, FleetGenerator, QueryKind
 from repro.workload.scenario import InstanceScenario
 from repro.workload.seeding import derive_seed
@@ -264,35 +264,22 @@ class TestScenarioParity:
     def test_bit_identical_via_service(self, scenario, direct_replays):
         from dataclasses import replace
 
-        runner = ScenarioRunner(
-            replace(
-                SWEEP,
-                via_service=True,
-                service_config=ServiceConfig(max_batch_size=7),
-                service_clients=3,
-            )
-        )
+        backend = ReplayBackend(mode="service", clients=3, service=ServiceConfig(max_batch_size=7))
+        runner = ScenarioRunner(replace(SWEEP, backend=backend))
         via = runner.run(scenario).replays
         for want, got in zip(direct_replays[scenario.name], via):
             assert_replays_identical(want, got)
 
     def test_fleet_sweeper_via_service_matches_replay_instance(self, baseline_trace):
         """The sweeper's service hook is the same path replay_instance takes."""
+        backend = ReplayBackend(mode="service", clients=2, service=ServiceConfig(max_batch_size=5))
         sweeper = FleetSweeper(
             fleet_config=FleetConfig(seed=SEED, volume_scale=VOLUME),
             stage_config=fast_profile(),
-            via_service=True,
-            service_config=ServiceConfig(max_batch_size=5),
-            service_clients=2,
+            backend=backend,
         )
         (got,) = sweeper.replay_traces([baseline_trace])
-        want = replay_instance(
-            baseline_trace,
-            config=fast_profile(),
-            via_service=True,
-            service_config=ServiceConfig(max_batch_size=5),
-            service_clients=2,
-        )
+        want = replay_instance(baseline_trace, config=fast_profile(), backend=backend)
         assert_replays_identical(want, got)
 
 
@@ -318,6 +305,40 @@ class TestRunnerAndReport:
         report = render_matrix(results, SWEEP)
         for name in direct_replays:
             assert name in report
+
+    def test_matrix_header_names_service_backend(self, direct_replays):
+        from dataclasses import replace
+
+        from repro.scenarios.engine import ScenarioResult
+
+        results = [ScenarioResult(get_scenario("baseline"), direct_replays["baseline"])]
+        assert "via_service=False" in render_matrix(results, SWEEP)
+        served = replace(SWEEP, backend=ReplayBackend(mode="service", clients=2))
+        assert "via_service=True" in render_matrix(results, served)
+
+    def test_cli_service_flags_build_one_backend(self, monkeypatch):
+        from repro.scenarios import __main__ as cli
+
+        seen = []
+
+        class RecordingRunner:
+            def __init__(self, config, scenarios=None):
+                seen.append(config)
+
+            def run_matrix(self):
+                return []
+
+        monkeypatch.setattr(cli, "ScenarioRunner", RecordingRunner)
+        monkeypatch.setattr(cli, "render_matrix", lambda results, config: "")
+        argv = ["--via-service", "--clients", "3", "--batch-size", "5", "--no-write"]
+        assert cli.main(argv) == 0
+        assert seen[-1].backend == ReplayBackend(
+            mode="service", clients=3, service=ServiceConfig(max_batch_size=5)
+        )
+        assert cli.main(["--no-write"]) == 0
+        assert seen[-1].backend == ReplayBackend()
+        with pytest.raises(SystemExit):
+            cli.main(["--clients", "3", "--no-write"])
 
     def test_runner_rejects_empty_matrix(self):
         with pytest.raises(ValueError, match="no scenarios"):

@@ -1,7 +1,7 @@
 """Tests for the online serving layer (scheduler, service, registry).
 
 The headline contract is serving/replay parity: replaying an instance
-``via_service`` — any ``max_batch_size``, any client concurrency —
+through a service backend — any ``max_batch_size``, any client concurrency —
 yields bit-identical predictions and cache/counter accounting to the
 direct :func:`~repro.harness.replay.replay_instance` path.  On top of
 that, the scheduler's sequencing semantics, the batch router's flush
@@ -18,12 +18,17 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core.config import GlobalModelConfig, ServiceConfig, fast_profile
+from repro.core.config import GlobalModelConfig, ReplayBackend, ServiceConfig, fast_profile
 from repro.core.stage import BatchRouter, StagePredictor
 from repro.global_model import GlobalModelTrainer
 from repro.harness import replay_instance
 from repro.scenarios import registered_scenarios
-from repro.service import ModelRegistry, PredictionService
+from repro.service import (
+    ModelRegistry,
+    PredictionService,
+    replay_trace_via_client,
+    shared_client,
+)
 from repro.workload import FleetConfig, FleetGenerator
 
 ARRAY_ATTRS = (
@@ -95,9 +100,11 @@ class TestViaServiceParity:
             trace,
             global_model=global_model,
             config=fast_profile(),
-            via_service=True,
-            service_config=ServiceConfig(max_batch_size=max_batch_size),
-            service_clients=service_clients,
+            backend=ReplayBackend(
+                mode="service",
+                clients=service_clients,
+                service=ServiceConfig(max_batch_size=max_batch_size),
+            ),
         )
         assert_replays_identical(reference_replay, via)
 
@@ -106,9 +113,11 @@ class TestViaServiceParity:
         via = replay_instance(
             trace,
             config=fast_profile(),
-            via_service=True,
-            service_config=ServiceConfig(max_batch_size=9),
-            service_clients=2,
+            backend=ReplayBackend(
+                mode="service",
+                clients=2,
+                service=ServiceConfig(max_batch_size=9),
+            ),
         )
         assert_replays_identical(direct, via)
 
@@ -124,9 +133,11 @@ class TestViaServiceParity:
             global_model=global_model,
             config=fast_profile(),
             collect_components=False,
-            via_service=True,
-            service_config=ServiceConfig(max_batch_size=12),
-            service_clients=3,
+            backend=ReplayBackend(
+                mode="service",
+                clients=3,
+                service=ServiceConfig(max_batch_size=12),
+            ),
         )
         assert_replays_identical(direct, via)
 
@@ -142,7 +153,7 @@ class TestViaServiceParity:
             replay_instance(
                 trace,
                 config=fast_profile(),
-                via_service=True,
+                backend=ReplayBackend(mode="service"),
                 component_inference="per_query",
             )
 
@@ -168,9 +179,11 @@ class TestScenarioServingParity:
         via = replay_instance(
             scenario_trace,
             config=fast_profile(),
-            via_service=True,
-            service_config=ServiceConfig(max_batch_size=6),
-            service_clients=2,
+            backend=ReplayBackend(
+                mode="service",
+                clients=2,
+                service=ServiceConfig(max_batch_size=6),
+            ),
         )
         assert_replays_identical(direct, via)
 
@@ -289,15 +302,15 @@ class TestScheduler:
             stranded.result(timeout=60)
 
     def test_replay_components_on_warm_service(self, trace):
-        """The replay hook bases its sequence numbers at the scheduler's
+        """The replay driver bases its sequence numbers at the scheduler's
         next slot, so it works after live traffic (and back-to-back)."""
         with _scheduler_service(trace, max_batch_size=4) as service:
             for i in range(10):
                 service.predict_async(trace[i])
                 service.observe(trace[i])
             service.drain()
-            first = service.replay_components(trace, n_clients=2)
-            second = service.replay_components(trace, n_clients=3)
+            first = replay_trace_via_client(shared_client(service), trace, n_clients=2)
+            second = replay_trace_via_client(shared_client(service), trace, n_clients=3)
             assert len(first) == len(second) == len(trace)
             n_ops = service.stats()["scheduler"]["n_predicts"]
         assert n_ops == 10 + 2 * len(trace)
@@ -336,8 +349,8 @@ class TestScheduler:
     def test_replay_components_on_closed_service_raises(self, trace):
         service = _scheduler_service(trace)
         service.close()
-        with pytest.raises(RuntimeError, match="closed service"):
-            service.replay_components(trace)
+        with pytest.raises(RuntimeError, match="closed"):
+            replay_trace_via_client(shared_client(service), trace)
 
     def test_submit_after_close_on_cold_service_rejected(self, trace):
         service = _scheduler_service(trace)

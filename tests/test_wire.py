@@ -1,10 +1,10 @@
 """Tests for the asyncio wire-protocol front door.
 
 The headline contract extends fleet bit-parity one layer further out:
-``via_socket`` replays — real TCP connections against a
-:class:`WireServer` fronting a sharded :class:`FleetGateway` — produce
-arrays AND cache/counter accounting identical to direct, ``via_service``
-and ``via_gateway`` replays, for every registered scenario and any
+socket replays — real TCP connections against a :class:`WireServer`
+fronting a sharded :class:`FleetGateway` — produce arrays AND
+cache/counter accounting identical to direct, service and gateway
+replays, for every registered scenario and any
 shard/connection count (the accounting is fetched over the wire too, so
 the whole parity check round-trips the socket).  On top of that:
 session lifecycle (HELLO handshake, idle timeout that spares busy
@@ -28,7 +28,13 @@ import pytest
 # shared parity helpers live with the service suite (one definition)
 from test_service import assert_replays_identical
 
-from repro.core.config import GatewayConfig, ServiceConfig, WireConfig, fast_profile
+from repro.core.config import (
+    GatewayConfig,
+    ReplayBackend,
+    ServiceConfig,
+    WireConfig,
+    fast_profile,
+)
 from repro.harness import FleetSweeper, replay_instance
 from repro.scenarios import registered_scenarios
 from repro.service import (
@@ -53,6 +59,12 @@ DURATION = 0.7
 N_INSTANCES = 3
 
 FLEET = FleetConfig(seed=SEED, volume_scale=VOLUME)
+
+
+def socket_backend(n_shards=2, clients=1, **kwargs):
+    return ReplayBackend(
+        mode="socket", clients=clients, gateway=GatewayConfig(n_shards=n_shards), **kwargs
+    )
 
 
 def make_sweeper(**kwargs):
@@ -108,10 +120,7 @@ class TestSocketParity:
         self, traces, direct_replays, n_shards, n_connections
     ):
         via = make_sweeper(
-            via_socket=True,
-            gateway_config=GatewayConfig(n_shards=n_shards),
-            service_config=ServiceConfig(max_batch_size=7),
-            service_clients=n_connections,
+            backend=socket_backend(n_shards, n_connections, service=ServiceConfig(max_batch_size=7))
         ).replay_traces(traces)
         for direct, replay in zip(direct_replays, via):
             assert_replays_identical(direct, replay)
@@ -120,39 +129,18 @@ class TestSocketParity:
         """n_jobs > 1 replays several instances' streams over concurrent
         TCP connections at once; reserved sequence ranges keep every
         interleaving bit-identical."""
-        via = make_sweeper(
-            via_socket=True,
-            gateway_config=GatewayConfig(n_shards=2),
-            service_clients=2,
-            n_jobs=3,
-        ).replay_traces(traces)
+        via = make_sweeper(backend=socket_backend(2, 2), n_jobs=3).replay_traces(traces)
         for direct, replay in zip(direct_replays, via):
             assert_replays_identical(direct, replay)
 
     def test_replay_instance_via_socket(self, traces, direct_replays):
-        via = replay_instance(
-            traces[0],
-            config=fast_profile(),
-            via_socket=True,
-            gateway_config=GatewayConfig(n_shards=3),
-            service_clients=3,
-        )
+        via = replay_instance(traces[0], config=fast_profile(), backend=socket_backend(3, 3))
         assert_replays_identical(direct_replays[0], via)
-
-    def test_via_socket_excludes_other_modes(self, traces):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            make_sweeper(via_socket=True, via_gateway=True).replay_traces(traces)
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            make_sweeper(via_socket=True, via_service=True).replay_traces(traces)
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            replay_instance(
-                traces[0], config=fast_profile(), via_socket=True, via_service=True
-            )
 
     def test_via_socket_rejects_per_query_mode(self, traces):
         with pytest.raises(ValueError, match="batched"):
             make_sweeper(
-                via_socket=True, component_inference="per_query"
+                backend=socket_backend(), component_inference="per_query"
             ).replay_traces(traces)
 
 
@@ -170,10 +158,7 @@ class TestScenarioSocketParity:
         fleet = FleetConfig(seed=5, volume_scale=VOLUME, scenario=scenario.config)
         direct = make_sweeper(fleet_config=fleet).replay_indices(range(2), 1.0)
         via = make_sweeper(
-            fleet_config=fleet,
-            via_socket=True,
-            gateway_config=GatewayConfig(n_shards=n_shards),
-            service_clients=n_connections,
+            fleet_config=fleet, backend=socket_backend(n_shards, n_connections)
         ).replay_indices(range(2), 1.0)
         for a, b in zip(direct, via):
             assert_replays_identical(a, b)
