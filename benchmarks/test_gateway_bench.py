@@ -1,8 +1,8 @@
 """Perf: fleet-gateway serving, swept over a shards x clients grid.
 
 Stands a small fleet of instances up behind one
-:class:`~repro.service.FleetGateway` and measures interleaved fleet
-traffic at every (shards, clients) grid point, writing
+:class:`~repro.service.FleetGateway` per grid point and measures fused
+predict+observe fleet traffic at every (shards, clients) point, writing
 ``results/gateway_bench.txt``.  The numbers are machine-dependent
 timing context (the file is exempt from CI's results-drift gate, like
 ``service_bench.txt``); what is *asserted* is the part that must hold
@@ -10,49 +10,51 @@ anywhere:
 
 - the gateway determinism contract — every grid point serves
   bit-identical predictions for the measured traffic (checked inside
-  :func:`run_gateway_bench` itself);
+  :func:`~repro.service.run_bench` itself);
 - the sweep ran the full grid end-to-end;
 - a throughput floor: sharding must not collapse the gateway's
   throughput relative to the single-service (``shards=1``) baseline at
-  the same client count.  The floor carries a tolerance because a
-  1-core CI runner gives sharding nothing to parallelize and timing
-  noise there is large; it exists to catch structural regressions like
-  a serialized transport, not to certify a speedup.
+  the same client count.  The floor is a noise tolerance, not a
+  speedup claim: it exists to catch structural regressions like a
+  serialized transport.
 
-The grid here is scaled down for the 1-core CI budget; the CLI
-(``python -m repro.service bench --gateway``) runs the full default
-grid.
+The grid here is scaled down; the CLI
+(``python -m repro.service bench --tier gateway``) runs the full
+default grid.
 """
+
+from dataclasses import replace
 
 from conftest import write_result
 
 from repro.core.config import fast_profile
-from repro.service import GatewayBenchConfig, run_gateway_bench
+from repro.service import run_bench
+from repro.service.bench import TIER_DEFAULTS
 
-BENCH = GatewayBenchConfig(
+DEFAULTS = TIER_DEFAULTS["gateway"]
+#: shards (1, 2) x clients (2, 8), median of 3 interleaved repeats
+BENCH = replace(
+    DEFAULTS,
     n_instances=4,
-    duration_days=1.0,
-    volume_scale=0.15,
-    shard_counts=(1, 2),
+    backends=tuple(b for b in DEFAULTS.backends if b.gateway.n_shards in (1, 2)),
     client_counts=(2, 8),
-    repeats=3,
     stage=fast_profile(),
 )
 
 #: sharded throughput may not fall below this fraction of the
-#: single-shard baseline at the same client count (noise headroom for
-#: the 1-core CI runner; the pre-overhaul deficit this guards against
-#: measured ~0.6x)
+#: single-shard baseline at the same client count — headroom for
+#: run-to-run timing noise; the pre-overhaul deficit this guards
+#: against measured ~0.6x
 FLOOR_FRACTION = 0.7
 
 
 def test_gateway_grid_serves_bit_identically(results_dir):
-    result = run_gateway_bench(BENCH)
+    result = run_bench(BENCH)
     report = result.render()
     write_result(results_dir, "gateway_bench", report)
     print("\n" + report)
 
-    assert len(result.rows) == len(BENCH.shard_counts) * len(BENCH.client_counts)
+    assert len(result.rows) == len(BENCH.backends) * len(BENCH.client_counts)
     assert result.n_measured > 0
     assert all(row["qps"] > 0 for row in result.rows)
     # the fleet determinism contract, verified while benchmarking
@@ -60,15 +62,13 @@ def test_gateway_grid_serves_bit_identically(results_dir):
 
     # throughput floor: sharding must never collapse vs the shards=1
     # baseline at the same client count
-    baseline = {
-        row["clients"]: row["qps"] for row in result.rows if row["shards"] == 1
-    }
+    baseline = {row["clients"]: row["qps"] for row in result.rows if row["shards"] == 1}
     for row in result.rows:
         if row["shards"] == 1:
             continue
         floor = FLOOR_FRACTION * baseline[row["clients"]]
         assert row["qps"] >= floor, (
-            f"shards={row['shards']:.0f} clients={row['clients']:.0f} "
+            f"shards={row['shards']} clients={row['clients']} "
             f"reached only {row['qps']:.0f} q/s — below {floor:.0f} "
             f"({FLOOR_FRACTION:.0%} of the single-shard baseline)"
         )

@@ -32,11 +32,8 @@ parity tests and for benchmarking the cost of the batched path.
 
 from __future__ import annotations
 
-import itertools
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -293,108 +290,62 @@ def replay_fleet(
     n_submitters: int = 1,
     reshard_hook: Optional[Callable[[object], None]] = None,
 ) -> List[InstanceReplay]:
-    """Replay every trace through one shared, sharded fleet tier.
+    """Replay every trace through one shared serving tier.
 
-    All instances live behind the same front door — a multi-process
-    :class:`~repro.service.FleetGateway` (``backend.mode == "gateway"``)
-    or that gateway behind a TCP :class:`~repro.service.WireServer`
-    (``"socket"``, ``backend.clients`` wire connections per instance,
-    with registration and accounting over an admin connection so they
-    cross the socket too).  Each instance's op stream goes through the
-    one :func:`~repro.service.replay_trace_via_client` driver, and its
-    accounting is read back from the shard that owns it.
-    ``n_submitters`` instances' streams are in flight at once (the
-    submitter threads; the shard processes do the predictor work).
+    The tier is whatever :func:`~repro.service.open_tier` stands up for
+    ``backend``: one :class:`~repro.service.PredictionService`
+    (``"service"``, a single trace), a multi-process
+    :class:`~repro.service.FleetGateway` (``"gateway"``) or that gateway
+    behind a TCP :class:`~repro.service.WireServer` (``"socket"``,
+    ``backend.clients`` wire connections per instance, with registration
+    and accounting over an admin connection so they cross the socket
+    too).  Each instance's op stream goes through the one
+    :func:`~repro.service.replay_trace_via_client` driver, and its
+    accounting is read back from the tier that owns it.
+    ``n_submitters`` instances' streams are in flight at once.
 
-    While the submitters run, ``reshard_hook`` (if any) executes on its
-    own thread against the live gateway — it may migrate instances and
-    resize the shard set *mid-replay*, and the determinism contract
-    requires the results to stay bit-identical anyway.  The hook is
-    joined before final accounting is read, so its moves are fully
-    settled in the stats, and any exception it raises fails the replay.
+    While the submitters run, ``reshard_hook`` (if any; ``gateway`` and
+    ``socket`` only) executes on its own thread against the live
+    gateway — it may migrate instances and resize the shard set
+    *mid-replay*, and the determinism contract requires the results to
+    stay bit-identical anyway.  The hook is joined before final
+    accounting is read, so its moves are fully settled in the stats,
+    and any exception it raises fails the replay.
     """
     # lazy: direct replays (and their pool workers) never load the
     # serving stack
-    from repro.service import (
-        FleetGateway,
-        WireClient,
-        WireServer,
-        replay_trace_via_client,
-        shared_client,
-    )
+    from repro.service import open_tier
 
-    if backend.mode not in ("gateway", "socket"):
-        raise ValueError(f'replay_fleet needs mode "gateway" or "socket", got {backend.mode!r}')
-    gateway_config = replace(
-        backend.gateway,
-        service=replace(backend.service, collect_components=collect_components),
-    )
-    with ExitStack() as stack:
-        gateway = FleetGateway(
-            gateway_config,
-            stage_config=config,
-            global_model=global_model,
-            random_state=random_state,
-        )
-        stack.callback(gateway.close)
-        over_socket = backend.mode == "socket"
-        if over_socket:
-            server = WireServer(gateway, backend.wire)
-            stack.callback(server.close)
-            host, port = server.start()
-            admin = stack.enter_context(WireClient(host, port, name="replay-admin"))
-        else:
-            admin = gateway
-        # the per-tier timeouts: the gateway's drain budget in process,
-        # a fixed 300 s over the socket
-        timeout = 300.0 if over_socket else gateway_config.drain_timeout_s
-
-        def client_factory(trace: Trace):
-            """Shared in-process gateway, or one TCP connection per worker."""
-            if not over_socket:
-                return shared_client(gateway)
-            instance_id = trace.instance.instance_id
-            connection_ids = itertools.count()
-            return lambda: WireClient(
-                host, port, name=f"replay-{instance_id}-{next(connection_ids)}"
-            )
-
-        for trace in traces:
-            admin.register_instance(trace.instance)
-
+    with open_tier(
+        backend,
+        [trace.instance for trace in traces],
+        stage_config=config,
+        global_model=global_model,
+        random_state=random_state,
+        collect_components=collect_components,
+    ) as tier:
         hook_errors: List[BaseException] = []
         hook_thread: Optional[threading.Thread] = None
         if reshard_hook is not None:
 
             def run_hook():
                 try:
-                    reshard_hook(gateway)
+                    reshard_hook(tier.gateway)
                 except BaseException as exc:
                     hook_errors.append(exc)
 
             hook_thread = threading.Thread(target=run_hook, name="reshard-hook", daemon=True)
             hook_thread.start()
 
-        def replay(trace: Trace) -> List[RoutedComponents]:
-            return replay_trace_via_client(
-                client_factory(trace), trace, backend.clients, timeout=timeout
-            )
-
-        if n_submitters <= 1:
-            components_per_trace = [replay(trace) for trace in traces]
-        else:
-            with ThreadPoolExecutor(max_workers=n_submitters) as pool:
-                components_per_trace = list(pool.map(replay, traces))
+        components_per_trace = tier.replay(traces, backend.clients, n_submitters)
         if hook_thread is not None:
             # the hook must settle before accounting is read (and a
             # failed reshard must fail the replay, not pass silently)
             hook_thread.join()
             if hook_errors:
                 raise hook_errors[0]
-        gateway.drain()
-        stats = admin.stats()
-        # the wire STATS op wraps the gateway's stats under "gateway"
-        instance_stats = (stats["gateway"] if over_socket else stats)["instances"]
+        tier.drain()
+        instance_stats = tier.instance_stats()
     return [
         assemble_replay(
             trace,
@@ -438,7 +389,7 @@ def replay_instance(
     concurrent submitters), ``"gateway"`` (a sharded multi-process
     :class:`~repro.service.FleetGateway`) or ``"socket"`` (real TCP
     connections against a :class:`~repro.service.WireServer` fronting a
-    gateway); the last two are :func:`replay_fleet` with one trace.
+    gateway); every serving mode is :func:`replay_fleet` with one trace.
     The determinism contract makes every mode bit-identical to the
     direct path — arrays *and* accounting — for any batch size, shard
     count or client/connection count.
@@ -452,7 +403,7 @@ def replay_instance(
             'path; use component_inference="batched"'
         )
     config = config or StageConfig()
-    if backend.mode in ("gateway", "socket"):
+    if backend.mode != "direct":
         return replay_fleet(
             [trace],
             backend,
@@ -462,13 +413,13 @@ def replay_instance(
             collect_components=collect_components,
         )[0]
 
+    stage = StagePredictor(
+        trace.instance,
+        global_model=global_model,
+        config=config,
+        random_state=random_state,
+    )
     if component_inference == "per_query":
-        stage = StagePredictor(
-            trace.instance,
-            global_model=global_model,
-            config=config,
-            random_state=random_state,
-        )
         # Reference path: per-query routing, probing the cache again —
         # via the non-mutating peek, so the router's lookup stays the
         # only counted one — and re-running the ensemble on every
@@ -490,41 +441,13 @@ def replay_instance(
                 )
             stage.observe(record)
             components.append(routed)
-        stats = stage_stats_of(stage)
-    elif backend.mode == "service":
-        from repro.service import PredictionService, replay_trace_via_client, shared_client
-
-        # closing on exit always stops the worker thread: a failed replay
-        # must not leak a live scheduler (close also fails gap-stranded ops)
-        with PredictionService(
-            trace.instance,
-            global_model=global_model,
-            stage_config=config,
-            service_config=replace(backend.service, collect_components=collect_components),
-            random_state=random_state,
-        ) as service:
-            components = replay_trace_via_client(
-                shared_client(service),
-                trace,
-                backend.clients,
-                timeout=service.config.drain_timeout_s,
-            )
-            service.drain()
-            stats = stage_stats_of(service.stage)
     else:
-        stage = StagePredictor(
-            trace.instance,
-            global_model=global_model,
-            config=config,
-            random_state=random_state,
-        )
         components = _routed_components_direct(trace, stage, collect_components)
-        stats = stage_stats_of(stage)
 
     return assemble_replay(
         trace,
         components,
-        stats,
+        stage_stats_of(stage),
         config=config,
         global_model=global_model,
         random_state=random_state,

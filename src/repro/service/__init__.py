@@ -19,20 +19,23 @@ package provides that deployment shape:
   ingress sequencing (the determinism contract extends over the
   socket), RETRY_AFTER admission control and fleet admin ops
   (MIGRATE / RESIZE / ROUTES — see ``repro.service.wire`` and
-  ``python -m repro.service serve``/``loadgen``);
+  ``python -m repro.service serve``);
 - :class:`PredictorClient` — the one futures-based client protocol all
   three serving tiers implement (:func:`shared_client` adapts an
   in-process tier into the client-factory shape, and
   :func:`replay_trace_via_client` is the single replay driver every
   ``ReplayBackend`` mode of the harness runs through);
+- :func:`open_tier` — stands up the serving tier a ``ReplayBackend``
+  names, for the replay harness and the benchmark alike;
 - :class:`FleetController` / :func:`plan_rebalance` — the elastic
   control plane: a load-watching rebalancer over the gateway's
   versioned routing table, executing live cut-sequence migrations and
   shard-set resizes without dropping in-flight ops;
-- :func:`run_service_bench` / :func:`run_gateway_bench` /
-  :func:`run_wire_bench` — the throughput/latency benchmarks behind
-  ``python -m repro.service`` (``results/service_bench.txt``,
-  ``results/gateway_bench.txt`` and ``results/wire_bench.txt``).
+- :func:`run_bench` — the throughput/latency benchmark behind
+  ``python -m repro.service bench --tier {service,gateway,socket}``
+  (``results/service_bench.txt``, ``results/gateway_bench.txt`` and
+  ``results/wire_bench.txt``): one closed-loop driver of fused
+  predict+observe traffic over any tier.
 
 Predictions served by every tier carry calibrated intervals
 (``Prediction.interval_low/interval_high``) derived per source —
@@ -47,17 +50,7 @@ see ``examples/uncertainty_serving.py``.
 
 from repro.core.config import ControlConfig, GatewayConfig, ServiceConfig, WireConfig
 
-from .bench import (
-    GatewayBenchConfig,
-    GatewayBenchResult,
-    ServiceBenchConfig,
-    ServiceBenchResult,
-    WireBenchConfig,
-    WireBenchResult,
-    run_gateway_bench,
-    run_service_bench,
-    run_wire_bench,
-)
+from .bench import BenchConfig, BenchResult, run_bench
 from .client import PredictorClient, replay_trace_via_client, shared_client
 from .control import (
     FleetController,
@@ -71,16 +64,17 @@ from .gateway import FleetGateway, GatewayBackpressureError, ShardCrashedError, 
 from .registry import ModelRegistry
 from .scheduler import MicroBatchScheduler
 from .server import PredictionService
+from .tier import open_tier
 from .wire import AsyncWireClient, WireClient, WireError, WireServer
 
 __all__ = [
     "AsyncWireClient",
+    "BenchConfig",
+    "BenchResult",
     "ControlConfig",
     "FleetController",
     "FleetGateway",
     "GatewayBackpressureError",
-    "GatewayBenchConfig",
-    "GatewayBenchResult",
     "GatewayConfig",
     "ModelRegistry",
     "MicroBatchScheduler",
@@ -88,22 +82,17 @@ __all__ = [
     "PredictionService",
     "PredictorClient",
     "RebalancePlan",
-    "ServiceBenchConfig",
-    "ServiceBenchResult",
     "ServiceConfig",
     "ShardCrashedError",
-    "WireBenchConfig",
-    "WireBenchResult",
     "WireClient",
     "WireConfig",
     "WireError",
     "WireServer",
     "instance_loads",
+    "open_tier",
     "plan_rebalance",
     "replay_trace_via_client",
-    "run_gateway_bench",
-    "run_service_bench",
-    "run_wire_bench",
+    "run_bench",
     "shard_for",
     "shard_loads",
     "shared_client",

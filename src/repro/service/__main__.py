@@ -2,18 +2,17 @@
 
 Modes
 -----
-``bench`` (default)
-    Drive a :class:`~repro.service.PredictionService` with a generated
-    fleet trace and report throughput and latency percentiles for the
-    request-at-a-time and micro-batched serving modes.  Writes the
-    rendered report to ``results/service_bench.txt`` (``--out`` to
-    change, ``--no-write`` to print only).
-
-``bench --gateway``
-    Fleet mode: stand a whole fleet of instances up behind one sharded
-    :class:`~repro.service.FleetGateway` and sweep a shards × clients
-    grid, verifying bit-identical predictions across the grid while
-    measuring throughput.  Writes ``results/gateway_bench.txt``.
+``bench --tier {service,gateway,socket}`` (default: ``bench --tier service``)
+    Stand a generated fleet up on one serving tier and sweep
+    ``backends × clients × in-flight`` with fused predict+observe
+    traffic through one closed-loop driver (:func:`~repro.service.run_bench`),
+    verifying bit-identical predictions across the grid while measuring
+    throughput, latency percentiles and micro-batch sizes.  Every flag
+    left out takes the tier's default from
+    :data:`~repro.service.bench.TIER_DEFAULTS`.  Writes
+    ``results/service_bench.txt``, ``results/gateway_bench.txt`` or
+    ``results/wire_bench.txt`` (``--out`` to change, ``--no-write`` to
+    print only).
 
 ``serve``
     The network front door: bind a :class:`~repro.service.WireServer`
@@ -22,23 +21,17 @@ Modes
     Clients register instances and submit predictions over the wire —
     see ``repro.service.wire`` for the protocol.
 
-``loadgen``
-    The standalone async load-generator client: sweeps TCP connections
-    × per-connection in-flight ops against a wire server (self-hosted
-    in-process by default, ``--connect HOST:PORT`` for a live one) and
-    writes ``results/wire_bench.txt``.
-
 Examples
 --------
 ::
 
-    PYTHONPATH=src python -m repro.service bench --clients 16 \\
-        --batch-size 16 --latency-ms 5
-    PYTHONPATH=src python -m repro.service bench --gateway \\
-        --shards 1 2 4 --gateway-clients 4 16
+    PYTHONPATH=src python -m repro.service bench --tier service \\
+        --clients 1 16 --batch-size 16 --latency-ms 5
+    PYTHONPATH=src python -m repro.service bench --tier gateway \\
+        --shards 1 2 4 --clients 4 16
+    PYTHONPATH=src python -m repro.service bench --tier socket \\
+        --clients 1 4 --inflight 1 8
     PYTHONPATH=src python -m repro.service serve --port 7171 --shards 2
-    PYTHONPATH=src python -m repro.service loadgen \\
-        --connections 1 4 --inflight 1 8
 """
 
 from __future__ import annotations
@@ -46,15 +39,16 @@ from __future__ import annotations
 import argparse
 import os
 import time
+from dataclasses import replace
 
-from .bench import (
-    GatewayBenchConfig,
-    ServiceBenchConfig,
-    WireBenchConfig,
-    run_gateway_bench,
-    run_service_bench,
-    run_wire_bench,
-)
+from .bench import TIER_DEFAULTS, run_bench
+
+#: report file under ``results/`` for each tier
+REPORTS = {
+    "service": "service_bench.txt",
+    "gateway": "gateway_bench.txt",
+    "socket": "wire_bench.txt",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,46 +57,40 @@ def _build_parser() -> argparse.ArgumentParser:
         description="online prediction-service utilities",
     )
     sub = parser.add_subparsers(dest="mode")
-    bench = sub.add_parser("bench", help="serving throughput/latency benchmark")
-    defaults = ServiceBenchConfig()
-    bench.add_argument("--seed", type=int, default=defaults.seed)
-    bench.add_argument("--instance-index", type=int, default=defaults.instance_index)
+    bench = sub.add_parser("bench", help="serving throughput/latency benchmark over one tier")
+    bench.add_argument("--tier", choices=sorted(TIER_DEFAULTS), default="service")
+    # every default below is the tier's (TIER_DEFAULTS)
+    bench.add_argument("--seed", type=int, default=None)
+    bench.add_argument("--instances", type=int, default=None, help="fleet size")
     bench.add_argument("--duration-days", type=float, default=None)
     bench.add_argument("--volume-scale", type=float, default=None)
-    bench.add_argument("--clients", type=int, default=defaults.n_clients)
-    bench.add_argument("--batch-size", type=int, default=defaults.max_batch_size)
-    bench.add_argument("--latency-ms", type=float, default=defaults.max_batch_latency_ms)
-    gateway_defaults = GatewayBenchConfig()
-    bench.add_argument(
-        "--gateway",
-        action="store_true",
-        help="fleet mode: sweep a FleetGateway over a shards x clients grid",
-    )
     bench.add_argument(
         "--shards",
         type=int,
         nargs="+",
-        default=list(gateway_defaults.shard_counts),
-        help="shard counts for the gateway sweep",
+        default=None,
+        help="shard counts to sweep (gateway and socket tiers)",
     )
     bench.add_argument(
-        "--gateway-clients",
+        "--clients",
         type=int,
         nargs="+",
-        default=list(gateway_defaults.client_counts),
-        help="client counts for the gateway sweep",
+        default=None,
+        help="closed-loop client counts to sweep (TCP connections on the socket tier)",
     )
     bench.add_argument(
-        "--instances",
+        "--inflight",
         type=int,
-        default=gateway_defaults.n_instances,
-        help="fleet size for the gateway sweep",
+        nargs="+",
+        default=None,
+        help="per-client in-flight predict counts to sweep",
     )
+    bench.add_argument("--batch-size", type=int, default=None)
+    bench.add_argument("--latency-ms", type=float, default=None)
     bench.add_argument(
         "--out",
         default=None,
-        help="report path (defaults to results/service_bench.txt, or "
-        "results/gateway_bench.txt with --gateway)",
+        help="report path (defaults to results/<tier report>.txt)",
     )
     bench.add_argument(
         "--no-write",
@@ -124,50 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--paper-profile",
         action="store_true",
         help="serve the published hyper-parameters instead of the fast profile",
-    )
-
-    loadgen = sub.add_parser(
-        "loadgen", help="async wire load generator: connections x in-flight sweep"
-    )
-    wire_defaults = WireBenchConfig()
-    loadgen.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="target a running wire server (default: self-hosted in-process)",
-    )
-    loadgen.add_argument("--seed", type=int, default=wire_defaults.seed)
-    loadgen.add_argument("--instances", type=int, default=wire_defaults.n_instances)
-    loadgen.add_argument(
-        "--duration-days", type=float, default=wire_defaults.duration_days
-    )
-    loadgen.add_argument(
-        "--volume-scale", type=float, default=wire_defaults.volume_scale
-    )
-    loadgen.add_argument("--shards", type=int, default=wire_defaults.n_shards)
-    loadgen.add_argument(
-        "--connections",
-        type=int,
-        nargs="+",
-        default=list(wire_defaults.connection_counts),
-        help="TCP connection counts to sweep",
-    )
-    loadgen.add_argument(
-        "--inflight",
-        type=int,
-        nargs="+",
-        default=list(wire_defaults.inflight_counts),
-        help="per-connection in-flight op counts to sweep",
-    )
-    loadgen.add_argument(
-        "--out",
-        default=None,
-        help="report path (defaults to results/wire_bench.txt)",
-    )
-    loadgen.add_argument(
-        "--no-write",
-        action="store_true",
-        help="print the report without writing --out",
     )
     return parser
 
@@ -202,32 +146,37 @@ def _run_serve(args) -> int:
     return 0
 
 
-def _run_loadgen(args) -> int:
-    address = None
-    if args.connect is not None:
-        host, _, port = args.connect.rpartition(":")
-        if not host or not port.isdigit():
-            raise SystemExit(f"--connect wants HOST:PORT, got {args.connect!r}")
-        address = (host, int(port))
-    config = WireBenchConfig(
-        seed=args.seed,
-        n_instances=args.instances,
-        duration_days=args.duration_days,
-        volume_scale=args.volume_scale,
-        n_shards=args.shards,
-        connection_counts=tuple(args.connections),
-        inflight_counts=tuple(args.inflight),
+def _bench_config(args):
+    """The tier's default grid with the given flags applied."""
+    defaults = TIER_DEFAULTS[args.tier]
+    base = defaults.backends[0]
+    service = base.service
+    if args.batch_size is not None:
+        service = replace(service, max_batch_size=args.batch_size)
+    if args.latency_ms is not None:
+        service = replace(service, max_batch_latency_ms=args.latency_ms)
+    if args.shards is None:
+        backends = tuple(replace(b, service=service) for b in defaults.backends)
+    elif args.tier == "service":
+        raise SystemExit("--shards applies to the gateway and socket tiers only")
+    else:
+        backends = tuple(
+            replace(base, service=service, gateway=replace(base.gateway, n_shards=n))
+            for n in args.shards
+        )
+    overrides = {
+        "seed": args.seed,
+        "n_instances": args.instances,
+        "duration_days": args.duration_days,
+        "volume_scale": args.volume_scale,
+        "client_counts": tuple(args.clients) if args.clients else None,
+        "inflight_counts": tuple(args.inflight) if args.inflight else None,
+    }
+    return replace(
+        defaults,
+        backends=backends,
+        **{key: value for key, value in overrides.items() if value is not None},
     )
-    result = run_wire_bench(config, address=address)
-    report = result.render()
-    print(report)
-    if not args.no_write:
-        out = args.out or os.path.join("results", "wire_bench.txt")
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        with open(out, "w") as f:
-            f.write(report + "\n")
-        print(f"\nwrote {out}")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -238,47 +187,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(["bench"])
     if args.mode == "serve":
         return _run_serve(args)
-    if args.mode == "loadgen":
-        return _run_loadgen(args)
     # argparse rejects unknown modes, so only "bench" reaches here
-    if args.gateway:
-        gateway_defaults = GatewayBenchConfig()
-        if args.duration_days is None:
-            args.duration_days = gateway_defaults.duration_days
-        if args.volume_scale is None:
-            args.volume_scale = gateway_defaults.volume_scale
-        config = GatewayBenchConfig(
-            seed=args.seed,
-            n_instances=args.instances,
-            duration_days=args.duration_days,
-            volume_scale=args.volume_scale,
-            shard_counts=tuple(args.shards),
-            client_counts=tuple(args.gateway_clients),
-            max_batch_size=args.batch_size,
-            max_batch_latency_ms=args.latency_ms,
-        )
-        result = run_gateway_bench(config)
-        out = args.out or os.path.join("results", "gateway_bench.txt")
-    else:
-        defaults = ServiceBenchConfig()
-        if args.duration_days is None:
-            args.duration_days = defaults.duration_days
-        if args.volume_scale is None:
-            args.volume_scale = defaults.volume_scale
-        config = ServiceBenchConfig(
-            seed=args.seed,
-            instance_index=args.instance_index,
-            duration_days=args.duration_days,
-            volume_scale=args.volume_scale,
-            n_clients=args.clients,
-            max_batch_size=args.batch_size,
-            max_batch_latency_ms=args.latency_ms,
-        )
-        result = run_service_bench(config)
-        out = args.out or os.path.join("results", "service_bench.txt")
+    result = run_bench(_bench_config(args))
     report = result.render()
     print(report)
     if not args.no_write:
+        out = args.out or os.path.join("results", REPORTS[args.tier])
         os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
         with open(out, "w") as f:
             f.write(report + "\n")

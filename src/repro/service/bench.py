@@ -1,40 +1,43 @@
-"""Serving-layer benchmarks: micro-batching and fleet-gateway scaling.
+"""Serving benchmark: one closed-loop driver over every serving tier.
 
-Drives a :class:`PredictionService` with a generated fleet trace, the
-way the paper's deployment sees traffic: a warmup segment replays
-queries with feedback (predict + observe) until the instance's cache and
-local ensemble are warm, then the measurement segment fires the
-remaining queries as concurrent prediction requests and reports
-throughput and client-observed latency percentiles.
+Stage answers a prediction on each query's admission path, so its
+serving cost is measured under the traffic production sends: every
+query is a predict plus its feedback observe, so local-model retrains
+land inside the measurement window.  :func:`run_bench` sweeps a
+``backends × client_counts × inflight_counts`` grid, where each backend
+(a :class:`~repro.core.config.ReplayBackend`) names the tier —
+``service``, ``gateway`` or ``socket`` — and carries its knobs.
 
-Two serving modes run over the *same* warmed predictor state:
+At every grid point a fresh fleet is stood up on the tier
+(:func:`~repro.service.open_tier`) and warmed through it with feedback;
+then :func:`drive_closed_loop` fires the measured segment:
 
-- ``request-at-a-time`` — one client, ``max_batch_size=1``: every
-  model-bound query pays a full (single-row) ensemble invocation;
-- ``micro-batched`` — many concurrent clients with the batching knobs
-  on: model-bound queries share one ensemble call per micro-batch.
+- each instance's sequence slots are reserved up front (predict at
+  ``base + 2k``, observe at ``base + 2k + 1``), so any client
+  interleaving executes each instance's ops in trace order;
+- clients have per-instance affinity, like the per-cluster connections
+  production traffic arrives on;
+- each client keeps ``inflight`` predicts outstanding; observes are
+  fire-and-forget, and latency is the client-observed predict round
+  trip.
 
-Predictions are bit-identical between the modes (the scheduler's
-determinism contract); the report is purely about throughput/latency.
-``results/service_bench.txt`` is written by ``python -m repro.service``
-and by ``benchmarks/test_service_bench.py``, which asserts the batched
-mode's throughput floor.
+The grid is walked ``repeats`` times, interleaved, and each row reports
+the median of its repeats.  The determinism contract makes the measured
+predictions bit-identical across the whole grid — asserted, not assumed
+(:attr:`BenchResult.predictions_identical`).
 
-:func:`run_gateway_bench` is the fleet-tier sibling: a whole fleet of
-instances behind one :class:`~repro.service.FleetGateway`, swept over a
-shards × clients grid (``python -m repro.service bench --gateway``,
-``results/gateway_bench.txt``).  The gateway determinism contract is
-*verified* while benchmarking: every combination must produce
-bit-identical predictions for the measured traffic.
+``python -m repro.service bench --tier {service,gateway,socket}`` runs
+the per-tier defaults in :data:`TIER_DEFAULTS` and writes
+``results/service_bench.txt``, ``results/gateway_bench.txt`` or
+``results/wire_bench.txt``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import statistics
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -44,27 +47,23 @@ from repro.core.config import (
     CacheConfig,
     GatewayConfig,
     LocalModelConfig,
+    ReplayBackend,
     ServiceConfig,
     StageConfig,
     TrainingPoolConfig,
 )
-from repro.core.stage import BatchRouter, StagePredictor
-from repro.global_model.model import GlobalModel
 from repro.workload.fleet import FleetConfig, FleetGenerator
+from repro.workload.trace import Trace
 
-from .gateway import FleetGateway
-from .server import PredictionService
+from .client import ClientFactory
+from .tier import open_tier
 
 __all__ = [
-    "GatewayBenchConfig",
-    "GatewayBenchResult",
-    "ServiceBenchConfig",
-    "ServiceBenchResult",
-    "WireBenchConfig",
-    "WireBenchResult",
-    "run_gateway_bench",
-    "run_service_bench",
-    "run_wire_bench",
+    "TIER_DEFAULTS",
+    "BenchConfig",
+    "BenchResult",
+    "drive_closed_loop",
+    "run_bench",
 ]
 
 
@@ -83,494 +82,117 @@ _BENCH_STAGE = StageConfig(
     ),
 )
 
+#: fraction of each instance's trace warmed (with feedback) before measuring
+_WARMUP_FRACTION = 0.5
+
+#: how often a waiting client checks whether a sibling has failed (s)
+_POLL_S = 0.1
+
+
+def _backend(mode: str, n_shards: int = 2) -> ReplayBackend:
+    return ReplayBackend(
+        mode=mode,
+        service=ServiceConfig(max_batch_size=16, max_batch_latency_ms=5.0),
+        gateway=GatewayConfig(n_shards=n_shards, queue_size=512),
+    )
+
 
 @dataclass(frozen=True)
-class ServiceBenchConfig:
-    """Scale and batching knobs for one serving benchmark run."""
+class BenchConfig:
+    """One benchmark grid: ``backends × client_counts × inflight_counts``."""
 
     seed: int = 7
-    instance_index: int = 0
+    n_instances: int = 1
     duration_days: float = 2.0
     volume_scale: float = 0.25
-    #: fraction of the trace replayed (with feedback) before measuring
-    warmup_fraction: float = 0.5
-    #: concurrent closed-loop clients in the micro-batched mode
-    n_clients: int = 16
-    max_batch_size: int = 16
-    max_batch_latency_ms: float = 5.0
-    stage: StageConfig = field(default_factory=lambda: _BENCH_STAGE)
-
-
-@dataclass
-class ServiceBenchResult:
-    """Per-mode throughput/latency plus the headline speedup."""
-
-    instance_id: str
-    n_warmup: int
-    n_measured: int
-    cache_hit_fraction: float
-    modes: Dict[str, Dict[str, float]]
-    speedup: float
-
-    def render(self) -> str:
-        lines = [
-            f"service bench: instance {self.instance_id}, "
-            f"{self.n_warmup} warmup + {self.n_measured} measured queries, "
-            f"cache answers {self.cache_hit_fraction:.0%} of measured traffic",
-        ]
-        for name, m in self.modes.items():
-            lines.append(
-                f"{name:<18} {m['n_clients']:>3.0f} client(s), "
-                f"batch<={m['max_batch_size']:.0f}: "
-                f"{m['qps']:8.0f} q/s   "
-                f"p50={m['p50_ms']:7.2f} ms  p95={m['p95_ms']:7.2f} ms  "
-                f"p99={m['p99_ms']:7.2f} ms   "
-                f"{m['n_batches']:.0f} batches (mean {m['mean_batch']:.1f})"
-            )
-        lines.append(f"micro-batched throughput over request-at-a-time: " f"{self.speedup:.2f}x")
-        lines.append("predictions bit-identical across modes (scheduler determinism " "contract)")
-        return "\n".join(lines)
-
-
-def _drive_mode(
-    stage: StagePredictor,
-    records,
-    n_clients: int,
-    service_config: ServiceConfig,
-) -> Dict[str, float]:
-    """Fire ``records`` at a service from closed-loop client threads."""
-    service = PredictionService.from_stage(stage, service_config=service_config)
-    latencies: List[List[float]] = [[] for _ in range(n_clients)]
-    position = {"next": 0}
-    lock = threading.Lock()
-
-    def client(worker_index: int) -> None:
-        lat = latencies[worker_index]
-        while True:
-            with lock:
-                i = position["next"]
-                if i >= len(records):
-                    return
-                position["next"] = i + 1
-            t0 = time.perf_counter()
-            service.predict(records[i])
-            lat.append(time.perf_counter() - t0)
-
-    threads = [
-        threading.Thread(target=client, args=(w,)) for w in range(n_clients)
-    ]
-    t0 = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - t0
-    service.drain()
-    sched = dict(service.scheduler.stats)
-    service.close()
-
-    lat_ms = np.array([v for lat in latencies for v in lat]) * 1000.0
-    n_batches = max(sched["n_batches"], 1)
-    return {
-        "n_clients": float(n_clients),
-        "max_batch_size": float(service_config.max_batch_size),
-        "wall_s": wall,
-        "qps": len(records) / wall,
-        "p50_ms": float(np.percentile(lat_ms, 50)),
-        "p95_ms": float(np.percentile(lat_ms, 95)),
-        "p99_ms": float(np.percentile(lat_ms, 99)),
-        "n_batches": float(sched["n_batches"]),
-        "mean_batch": sched["n_deferred"] / n_batches,
-        "n_immediate": float(sched["n_immediate"]),
-    }
-
-
-def run_service_bench(
-    config: Optional[ServiceBenchConfig] = None,
-    global_model: Optional[GlobalModel] = None,
-) -> ServiceBenchResult:
-    """Run the serving benchmark; see the module docstring."""
-    config = config or ServiceBenchConfig()
-    gen = FleetGenerator(FleetConfig(seed=config.seed, volume_scale=config.volume_scale))
-    trace = gen.generate_trace(gen.sample_instance(config.instance_index), config.duration_days)
-    n_warmup = int(len(trace) * config.warmup_fraction)
-    warmup, measured = trace[:n_warmup], trace[n_warmup:]
-    if not measured:
-        raise ValueError(
-            f"bench trace has no measurement segment ({len(trace)} queries, "
-            f"{n_warmup} warmup) — raise duration_days/volume_scale or "
-            "lower warmup_fraction"
-        )
-
-    # Warm the predictor the fast (batched, bit-identical) way, then
-    # measure pure serving traffic: predictions do not mutate the cache
-    # or the models, so both modes see the exact same state and return
-    # the exact same answers.
-    stage = StagePredictor(
-        trace.instance,
-        global_model=global_model,
-        config=config.stage,
-        random_state=config.seed,
-    )
-    router = BatchRouter(stage)
-    for record in warmup:
-        router.route(record)
-        router.observe(record)
-    router.flush()
-    hits_before = stage.cache.hits
-
-    modes = {
-        "request-at-a-time": _drive_mode(
-            stage,
-            measured,
-            n_clients=1,
-            service_config=ServiceConfig(
-                max_batch_size=1, max_batch_latency_ms=0.0
-            ),
-        ),
-        "micro-batched": _drive_mode(
-            stage,
-            measured,
-            n_clients=config.n_clients,
-            service_config=ServiceConfig(
-                max_batch_size=config.max_batch_size,
-                max_batch_latency_ms=config.max_batch_latency_ms,
-            ),
-        ),
-    }
-    hit_fraction = (stage.cache.hits - hits_before) / (2.0 * len(measured))
-    return ServiceBenchResult(
-        instance_id=trace.instance.instance_id,
-        n_warmup=n_warmup,
-        n_measured=len(measured),
-        cache_hit_fraction=hit_fraction,
-        modes=modes,
-        speedup=modes["micro-batched"]["qps"] / modes["request-at-a-time"]["qps"],
-    )
-
-
-# ---------------------------------------------------------------------------
-# fleet-gateway benchmark: shards x clients throughput
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class GatewayBenchConfig:
-    """Scale and sweep knobs for one fleet-gateway benchmark run."""
-
-    seed: int = 7
-    n_instances: int = 6
-    duration_days: float = 1.0
-    volume_scale: float = 0.15
-    #: fraction of each instance's trace replayed (with feedback) first
-    warmup_fraction: float = 0.5
-    #: the sweep grid: every (shards, clients) combination is measured
-    shard_counts: tuple = (1, 2, 4)
-    client_counts: tuple = (4, 16)
-    #: measurement repeats per grid point; passes are *interleaved*
-    #: (every point once per pass, then again) so drifting machine load
-    #: lands on all points evenly, and each point reports the median of
-    #: its repeats
+    #: the tiers under test, with their knobs (micro-batching on
+    #: ``service``, sharding on ``gateway``); ``clients`` stays default —
+    #: the bench's client counts are ``client_counts``
+    backends: tuple = (_backend("service"),)
+    #: closed-loop clients (TCP connections on the socket tier)
+    client_counts: tuple = (1, 16)
+    #: predicts each client keeps outstanding
+    inflight_counts: tuple = (1,)
+    #: interleaved passes over the grid; each row is the median of its
+    #: passes, so drifting machine load lands on every point evenly
     repeats: int = 3
-    max_batch_size: int = 16
-    max_batch_latency_ms: float = 5.0
-    queue_size: int = 512
     stage: StageConfig = field(default_factory=lambda: _BENCH_STAGE)
 
-
-@dataclass
-class GatewayBenchResult:
-    """Throughput/latency per (shards, clients) grid point."""
-
-    n_instances: int
-    n_warmup: int
-    n_measured: int
-    rows: List[Dict[str, float]]
-    #: every grid point produced bit-identical measured predictions
-    predictions_identical: bool
-    #: interleaved measurement passes behind each row's medians
-    repeats: int = 1
-
-    def render(self) -> str:
-        lines = [
-            f"gateway fleet bench: {self.n_instances} instances, "
-            f"{self.n_warmup} warmup + {self.n_measured} measured queries "
-            "(interleaved fused predict+observe fleet traffic through one "
-            "FleetGateway; "
-            f"median of {self.repeats} interleaved repeats per grid point)",
-        ]
-        base_qps = self.rows[0]["qps"] if self.rows else 1.0
-        for row in self.rows:
-            lines.append(
-                f"shards={row['shards']:<2.0f} clients={row['clients']:<3.0f} "
-                f"{row['qps']:8.0f} q/s   "
-                f"p50={row['p50_ms']:7.2f} ms  p95={row['p95_ms']:7.2f} ms  "
-                f"p99={row['p99_ms']:7.2f} ms   "
-                f"{row['qps'] / base_qps:5.2f}x vs first row"
-            )
-        verdict = "bit-identical" if self.predictions_identical else "DIVERGED (bug!)"
-        lines.append(
-            f"measured predictions across all shard/client combinations: {verdict}"
-        )
-        return "\n".join(lines)
-
-
-def _drive_gateway_combo(
-    traces,
-    warmups,
-    measured,
-    n_shards: int,
-    n_clients: int,
-    config: GatewayBenchConfig,
-) -> Tuple[Dict[str, float], List[float]]:
-    """Warm a fresh fleet, then fire the measured stream; returns the
-    grid row plus the predicted exec-times (for the parity check).
-
-    The measured stream is the *fused* serving workload — every query
-    is a predict plus its feedback observe, so local-model retrains land
-    inside the measurement window exactly as production traffic would
-    place them.  Per-instance sequence numbers for the whole segment are
-    reserved up front, so any client interleaving executes each
-    instance's ops in trace order and every grid point returns
-    bit-identical predictions (the gateway determinism contract).
-    Client-observed latency is the predict round trip; observes are
-    fire-and-forget and settle by the closing drain.
-    """
-    gateway = FleetGateway(
-        GatewayConfig(
-            n_shards=n_shards,
-            queue_size=config.queue_size,
-            service=ServiceConfig(
-                max_batch_size=config.max_batch_size,
-                max_batch_latency_ms=config.max_batch_latency_ms,
-            ),
-        ),
-        stage_config=config.stage,
-        random_state=config.seed,
-    )
-    try:
-        for trace in traces:
-            gateway.register_instance(trace.instance)
-        # warm with feedback: each instance's fused, sequenced op stream
-        for trace, warmup in zip(traces, warmups):
-            instance_id = trace.instance.instance_id
-            for record in warmup:
-                gateway.predict_async(instance_id, record)
-                gateway.observe(instance_id, record)
-        gateway.drain()
-
-        # Pre-assign the fused stream's sequence numbers: per instance,
-        # record k gets (predict, observe) slots (2k, 2k + 1) after the
-        # warmup prefix, making the executed op order a pure function of
-        # the trace no matter which client fires which record.
-        n_clients = max(1, int(n_clients))
-        streams: Dict[str, List[tuple]] = {}
-        for index, (instance_id, record) in enumerate(measured):
-            streams.setdefault(instance_id, []).append((index, record))
-        stream_state = {
-            instance_id: {
-                "records": records,
-                "base": gateway.reserve_sequence(instance_id, 2 * len(records)),
-                "next": 0,
-                "lock": threading.Lock(),
-            }
-            for instance_id, records in streams.items()
-        }
-        # Clients have instance affinity, like the per-cluster
-        # connections production traffic arrives on: client w serves the
-        # instances with index ≡ w (mod n_clients), or shares one
-        # instance's stream when there are more clients than instances.
-        # (A single shared cursor in global arrival order would pile
-        # every client onto the next records of whichever instance is
-        # mid-retrain and stall the whole fleet on one instance's
-        # stream.)
-        instance_order = [
-            trace.instance.instance_id
-            for trace in traces
-            if trace.instance.instance_id in streams
-        ]
-
-        op_timeout = gateway.config.drain_timeout_s
-        predictions: List[Optional[float]] = [None] * len(measured)
-        observe_futures: List[Optional[Future]] = [None] * len(measured)
-        latencies: List[List[float]] = [[] for _ in range(n_clients)]
-        errors: List[Optional[BaseException]] = [None] * n_clients
-        stop = threading.Event()
-
-        def client(worker_index: int) -> None:
-            lat = latencies[worker_index]
-            if n_clients <= len(instance_order):
-                mine = instance_order[worker_index::n_clients]
-            else:
-                mine = [instance_order[worker_index % len(instance_order)]]
-            try:
-                while mine and not stop.is_set():
-                    for instance_id in list(mine):
-                        state = stream_state[instance_id]
-                        with state["lock"]:
-                            k = state["next"]
-                            if k >= len(state["records"]):
-                                mine.remove(instance_id)
-                                continue
-                            state["next"] = k + 1
-                        index, record = state["records"][k]
-                        seq = state["base"] + 2 * k
-                        t0 = time.perf_counter()
-                        future = gateway.predict_async(instance_id, record, seq=seq)
-                        observe_futures[index] = gateway.observe(
-                            instance_id, record, seq=seq + 1
-                        )
-                        predictions[index] = (
-                            future.result(op_timeout).prediction.exec_time
-                        )
-                        lat.append(time.perf_counter() - t0)
-            except BaseException as exc:
-                errors[worker_index] = exc
-                stop.set()  # stop the other clients too
-
-        threads = [
-            threading.Thread(target=client, args=(w,)) for w in range(n_clients)
-        ]
-        t0 = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        wall = time.perf_counter() - t0
-        for error in errors:
-            if error is not None:
-                raise error
-        gateway.drain()
-        for future in observe_futures:
-            if future is not None:
-                future.result(op_timeout)  # surface any feedback failure
-    finally:
-        gateway.close()
-
-    lat_ms = np.array([v for lat in latencies for v in lat]) * 1000.0
-    row = {
-        "shards": float(n_shards),
-        "clients": float(n_clients),
-        "wall_s": wall,
-        "qps": len(measured) / wall,
-        "p50_ms": float(np.percentile(lat_ms, 50)),
-        "p95_ms": float(np.percentile(lat_ms, 95)),
-        "p99_ms": float(np.percentile(lat_ms, 99)),
-    }
-    return row, [float(p) for p in predictions]
-
-
-def run_gateway_bench(config: Optional[GatewayBenchConfig] = None) -> GatewayBenchResult:
-    """Sweep a fleet over the shards × clients grid; see module docs.
-
-    Every grid point rebuilds and re-warms the same fleet from scratch
-    (same seeds, same sequenced warmup streams), so the gateway
-    determinism contract makes the measured predictions bit-identical
-    across the whole grid — asserted, not assumed.
-    """
-    config = config or GatewayBenchConfig()
-    gen = FleetGenerator(FleetConfig(seed=config.seed, volume_scale=config.volume_scale))
-    traces = [
-        gen.generate_trace(gen.sample_instance(index), config.duration_days)
-        for index in range(config.n_instances)
-    ]
-    warmups, measured = [], []
-    for trace in traces:
-        n_warmup = int(len(trace) * config.warmup_fraction)
-        warmups.append([trace[i] for i in range(n_warmup)])
-        measured.extend(
-            (trace.instance.instance_id, trace[i]) for i in range(n_warmup, len(trace))
-        )
-    if not measured:
-        raise ValueError(
-            "gateway bench has no measurement segment — raise duration_days/"
-            "volume_scale or lower warmup_fraction"
-        )
-    # interleave the fleet's measured traffic in global arrival order
-    measured.sort(key=lambda pair: pair[1].arrival_time)
-
-    if config.repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    samples: Dict[Tuple[int, int], List[Dict[str, float]]] = {}
-    reference: Optional[List[float]] = None
-    identical = True
-    for _ in range(config.repeats):
-        for n_shards in config.shard_counts:
-            for n_clients in config.client_counts:
-                row, predictions = _drive_gateway_combo(
-                    traces, warmups, measured, n_shards, n_clients, config
+    def __post_init__(self):
+        for backend in self.backends:
+            if backend.mode == "direct":
+                raise ValueError('the bench drives serving tiers; mode "direct" has none')
+            if backend.clients != ReplayBackend().clients:
+                raise ValueError(
+                    "set the bench's client counts on BenchConfig.client_counts, "
+                    "not ReplayBackend.clients"
                 )
-                samples.setdefault((n_shards, n_clients), []).append(row)
-                if reference is None:
-                    reference = predictions
-                elif predictions != reference:
-                    identical = False
-    rows: List[Dict[str, float]] = []
-    for n_shards in config.shard_counts:
-        for n_clients in config.client_counts:
-            reps = samples[(n_shards, n_clients)]
-            rows.append(
-                {key: float(statistics.median([r[key] for r in reps])) for key in reps[0]}
-            )
-    return GatewayBenchResult(
-        n_instances=config.n_instances,
-        n_warmup=sum(len(w) for w in warmups),
-        n_measured=len(measured),
-        rows=rows,
-        predictions_identical=identical,
-        repeats=config.repeats,
-    )
+            if backend.mode == "service" and self.n_instances != 1:
+                raise ValueError(
+                    f"the service tier serves one instance, got n_instances={self.n_instances}"
+                )
+        if not self.backends or not self.client_counts or not self.inflight_counts:
+            raise ValueError("backends, client_counts and inflight_counts must be non-empty")
+        if min(self.client_counts) < 1 or min(self.inflight_counts) < 1:
+            raise ValueError("client and in-flight counts must be >= 1")
+        if self.repeats < 1:
+            raise ValueError("repeats must be >= 1")
 
 
-# ---------------------------------------------------------------------------
-# wire benchmark: the network front door, connections x in-flight ops
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class WireBenchConfig:
-    """Scale and sweep knobs for the wire-protocol load generator."""
-
-    seed: int = 7
-    n_instances: int = 4
-    duration_days: float = 1.0
-    volume_scale: float = 0.15
-    #: fraction of each instance's trace replayed (with feedback) first
-    warmup_fraction: float = 0.5
-    #: the sweep grid: TCP connections x per-connection in-flight ops
-    connection_counts: tuple = (1, 4)
-    inflight_counts: tuple = (1, 8)
-    #: self-hosted server shape (ignored when targeting a remote server)
-    n_shards: int = 2
-    max_batch_size: int = 16
-    max_batch_latency_ms: float = 5.0
-    queue_size: int = 512
-    stage: StageConfig = field(default_factory=lambda: _BENCH_STAGE)
+#: the default grid of each tier, as ``python -m repro.service bench`` runs it
+TIER_DEFAULTS: Dict[str, BenchConfig] = {
+    "service": BenchConfig(),
+    "gateway": BenchConfig(
+        n_instances=6,
+        duration_days=1.0,
+        volume_scale=0.15,
+        backends=tuple(_backend("gateway", n_shards) for n_shards in (1, 2, 4)),
+        client_counts=(4, 16),
+    ),
+    "socket": BenchConfig(
+        n_instances=4,
+        duration_days=1.0,
+        volume_scale=0.15,
+        backends=(_backend("socket"),),
+        client_counts=(1, 4),
+        inflight_counts=(1, 8),
+        repeats=1,
+    ),
+}
 
 
 @dataclass
-class WireBenchResult:
-    """Throughput/latency per (connections, in-flight) grid point."""
+class BenchResult:
+    """Median throughput/latency per grid point."""
 
     n_instances: int
     n_warmup: int
     n_measured: int
-    address: str
-    rows: List[Dict[str, float]]
+    repeats: int
+    #: one row per grid point in grid order: the labels ``tier``,
+    #: ``shards`` (``None`` on the service tier), ``clients`` and
+    #: ``inflight``, then the median metrics
+    rows: List[dict]
     #: every grid point produced bit-identical measured predictions
     predictions_identical: bool
 
     def render(self) -> str:
         lines = [
-            f"wire bench: {self.n_instances} instances behind the asyncio "
-            f"front door at {self.address}",
-            f"{self.n_warmup} warmup + {self.n_measured} measured queries, "
-            "all over length-prefixed binary frames (one predict per frame, "
-            "pipelined per connection)",
+            f"serving bench: {self.n_instances} instance(s), {self.n_warmup} warmup + "
+            f"{self.n_measured} measured queries of fused predict+observe traffic "
+            f"(a fresh fleet warmed through the tier per grid point; median of "
+            f"{self.repeats} interleaved repeat(s) per row); cache answers "
+            f"{self.rows[0]['hit_frac']:.0%} of measured predicts",
         ]
-        base_qps = self.rows[0]["qps"] if self.rows else 1.0
+        base_qps = self.rows[0]["qps"]
         for row in self.rows:
+            tier = row["tier"] if row["shards"] is None else f"{row['tier']} shards={row['shards']}"
             lines.append(
-                f"conns={row['connections']:<2.0f} inflight={row['inflight']:<3.0f} "
+                f"{tier:<16} clients={row['clients']:<3} inflight={row['inflight']:<3} "
                 f"{row['qps']:8.0f} q/s   "
                 f"p50={row['p50_ms']:7.2f} ms  p95={row['p95_ms']:7.2f} ms  "
                 f"p99={row['p99_ms']:7.2f} ms   "
+                f"{row['n_batches']:4.0f} batches (mean {row['mean_batch']:.2f})   "
                 f"{row['qps'] / base_qps:5.2f}x vs first row"
             )
         verdict = "bit-identical" if self.predictions_identical else "DIVERGED (bug!)"
@@ -578,173 +200,216 @@ class WireBenchResult:
         return "\n".join(lines)
 
 
-async def _wire_warm(host: str, port: int, traces, warmups) -> None:
-    """Replay every instance's warmup (fused predict/observe, live
-    sequence numbers) through one pipelined wire connection."""
-    from .wire import AsyncWireClient
-
-    client = await AsyncWireClient.connect(host, port, name="loadgen-warm")
-    try:
-        futures = []
-        for trace, warmup in zip(traces, warmups):
-            instance_id = trace.instance.instance_id
-            for record in warmup:
-                # per-instance op order is submission order (ingress
-                # sequencing), so the warm state matches a direct replay
-                futures.append(client.submit_predict(instance_id, record))
-                futures.append(client.submit_observe(instance_id, record))
-                await client.drain()
-        for future in futures:
-            await future
-    finally:
-        await client.close()
+def _wait_any(futures, stop: threading.Event, timeout: float):
+    """Futures of ``futures`` done so far, waiting for at least one; empty
+    once ``stop`` is set (a sibling client failed)."""
+    deadline = time.monotonic() + timeout
+    while not stop.is_set():
+        done, _ = wait(futures, timeout=_POLL_S, return_when=FIRST_COMPLETED)
+        if done:
+            return done
+        if time.monotonic() >= deadline:
+            raise TimeoutError(f"no response within {timeout} s")
+    return ()
 
 
-async def _wire_fire(
-    host: str, port: int, measured, n_connections: int, inflight: int
-) -> Tuple[float, List[float], List[float]]:
-    """One grid point: closed-loop async connections, each keeping
-    ``inflight`` predictions outstanding over a shared work stream."""
-    from .wire import AsyncWireClient
+def drive_closed_loop(
+    connect: ClientFactory,
+    streams: Dict[str, list],
+    n_clients: int,
+    inflight: int,
+    timeout: float,
+) -> Tuple[float, List[float], Dict[str, List[float]]]:
+    """Fire each instance's fused predict/observe stream from closed-loop clients.
 
-    n_connections = max(1, n_connections)
-    predictions: List[Optional[float]] = [None] * len(measured)
-    # per-connection latency lists, merged only after the wall-clock
-    # window closes: percentile computation never reads a list a driver
-    # is still appending to (same discipline as the threaded drivers,
-    # where the append really is concurrent)
-    latencies: List[List[float]] = [[] for _ in range(n_connections)]
-    # a plain shared iterator is safe: consumers only advance it between
-    # awaits of the same event loop
-    iterator = iter(enumerate(measured))
+    ``streams`` maps instance id to its records in trace order.  The
+    whole sequence range is reserved up front (record ``k``'s predict at
+    ``base + 2k``, its observe at ``base + 2k + 1``).  Client ``w``
+    serves the instances with index ≡ w (mod ``n_clients``), round
+    robin, or shares one instance's stream when there are more clients
+    than instances: a single cursor in global arrival order would pile
+    every client onto whichever instance is mid-retrain.  Each client
+    opens its own client from ``connect`` and keeps ``inflight``
+    predicts outstanding.
 
-    async def one(lat: List[float], client, i: int, instance_id: str, record) -> None:
-        t0 = time.perf_counter()
-        components = await client.predict_components(instance_id, record)
-        lat.append(time.perf_counter() - t0)
-        predictions[i] = components.prediction.exec_time
-
-    async def connection(worker_index: int) -> None:
-        lat = latencies[worker_index]
-        client = await AsyncWireClient.connect(host, port, name=f"loadgen-{worker_index}")
-        try:
-            pending = set()
-            for i, (instance_id, record) in iterator:
-                if len(pending) >= inflight:
-                    done, pending = await asyncio.wait(
-                        pending, return_when=asyncio.FIRST_COMPLETED
-                    )
-                    for task in done:
-                        task.result()
-                pending.add(asyncio.create_task(one(lat, client, i, instance_id, record)))
-            if pending:
-                await asyncio.gather(*pending)
-        finally:
-            await client.close()
-
-    t0 = time.perf_counter()
-    await asyncio.gather(*(connection(w) for w in range(n_connections)))
-    wall = time.perf_counter() - t0
-    merged = [v for lat in latencies for v in lat]
-    return wall, merged, [float(p) for p in predictions]
-
-
-def run_wire_bench(
-    config: Optional[WireBenchConfig] = None,
-    address: Optional[Tuple[str, int]] = None,
-) -> WireBenchResult:
-    """Load-generate against the wire front door; see module docs.
-
-    With ``address=None`` (the default) a gateway + wire server is
-    self-hosted in-process; otherwise the load generator targets an
-    already-running ``python -m repro.service serve``.  Registration,
-    warmup and measurement all travel over the wire, and — because
-    predictions never mutate predictor state — the same warmed fleet
-    serves every grid point, whose measured predictions must therefore
-    be bit-identical (asserted, not assumed).
+    Returns ``(wall_s, latencies_s, predictions)``, where ``wall_s``
+    ends when the last predict resolves and ``predictions`` maps each
+    instance to its predicted exec-times.  A failed client stops its
+    siblings, and the first client error is re-raised.
     """
-    from .wire import WireClient, WireServer
+    instance_ids = list(streams)
+    with connect() as admin:
+        bases = {iid: admin.reserve_sequence(iid, 2 * len(recs)) for iid, recs in streams.items()}
+    cursors = {iid: 0 for iid in instance_ids}
+    lock = threading.Lock()
+    predictions = {iid: [None] * len(recs) for iid, recs in streams.items()}
+    latencies: List[List[float]] = [[] for _ in range(n_clients)]
+    finished = [0.0] * n_clients
+    errors: List[BaseException] = []
+    stop = threading.Event()
 
-    config = config or WireBenchConfig()
-    gen = FleetGenerator(FleetConfig(seed=config.seed, volume_scale=config.volume_scale))
-    traces = [
-        gen.generate_trace(gen.sample_instance(index), config.duration_days)
-        for index in range(config.n_instances)
+    def claim(mine: List[str]):
+        """The next ``(instance_id, k)`` from ``mine``, round robin."""
+        with lock:
+            while mine:
+                iid = mine.pop(0)
+                k = cursors[iid]
+                if k < len(streams[iid]):
+                    cursors[iid] = k + 1
+                    mine.append(iid)
+                    return iid, k
+        return None
+
+    def client(w: int) -> None:
+        if n_clients <= len(instance_ids):
+            mine = instance_ids[w::n_clients]
+        else:
+            mine = [instance_ids[w % len(instance_ids)]]
+        lat = latencies[w]
+        observes = []
+        try:
+            with connect() as conn:
+                outstanding = {}
+                while not stop.is_set():
+                    while len(outstanding) < inflight:
+                        claimed = claim(mine)
+                        if claimed is None:
+                            break
+                        iid, k = claimed
+                        record, seq = streams[iid][k], bases[iid] + 2 * k
+                        t0 = time.perf_counter()
+                        outstanding[conn.predict_async(iid, record, seq=seq)] = (iid, k, t0)
+                        observes.append(conn.observe_async(iid, record, seq=seq + 1))
+                    if not outstanding:
+                        break
+                    done = _wait_any(outstanding, stop, timeout)
+                    now = time.perf_counter()
+                    for future in done:
+                        iid, k, t0 = outstanding.pop(future)
+                        predictions[iid][k] = future.result().prediction.exec_time
+                        lat.append(now - t0)
+                finished[w] = time.perf_counter()
+                # a connection-scoped client stays open until its
+                # feedback lands (and a failed observe fails the bench)
+                pending = set(observes)
+                while pending and not stop.is_set():
+                    for future in _wait_any(pending, stop, timeout):
+                        pending.discard(future)
+                        future.result()
+        except BaseException as exc:
+            with lock:
+                errors.append(exc)
+            stop.set()
+
+    threads = [
+        threading.Thread(target=client, args=(w,), name=f"bench-client-{w}")
+        for w in range(n_clients)
     ]
-    warmups, measured = [], []
-    for trace in traces:
-        n_warmup = int(len(trace) * config.warmup_fraction)
-        warmups.append([trace[i] for i in range(n_warmup)])
-        measured.extend(
-            (trace.instance.instance_id, trace[i]) for i in range(n_warmup, len(trace))
-        )
-    if not measured:
-        raise ValueError(
-            "wire bench has no measurement segment — raise duration_days/"
-            "volume_scale or lower warmup_fraction"
-        )
-    measured.sort(key=lambda pair: pair[1].arrival_time)
+    t0 = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    merged = [v for lat in latencies for v in lat]
+    return max(finished) - t0, merged, predictions
 
-    gateway = server = None
-    try:
-        if address is None:
-            gateway = FleetGateway(
-                GatewayConfig(
-                    n_shards=config.n_shards,
-                    queue_size=config.queue_size,
-                    service=ServiceConfig(
-                        max_batch_size=config.max_batch_size,
-                        max_batch_latency_ms=config.max_batch_latency_ms,
-                    ),
-                ),
-                stage_config=config.stage,
-                random_state=config.seed,
-            )
-            server = WireServer(gateway)
-            address = server.start()
-        host, port = address
-        with WireClient(host, port, name="loadgen-admin") as admin:
-            for trace in traces:
-                try:
-                    admin.register_instance(trace.instance)
-                except ValueError:
-                    pass  # already registered (rerun against a live server)
-        asyncio.run(_wire_warm(host, port, traces, warmups))
 
-        rows: List[Dict[str, float]] = []
-        reference: Optional[List[float]] = None
-        identical = True
-        for n_connections in config.connection_counts:
-            for inflight in config.inflight_counts:
-                wall, latencies, predictions = asyncio.run(
-                    _wire_fire(host, port, measured, n_connections, inflight)
-                )
-                lat_ms = np.array(latencies) * 1000.0
-                rows.append(
-                    {
-                        "connections": float(n_connections),
-                        "inflight": float(inflight),
-                        "wall_s": wall,
-                        "qps": len(measured) / wall,
-                        "p50_ms": float(np.percentile(lat_ms, 50)),
-                        "p95_ms": float(np.percentile(lat_ms, 95)),
-                        "p99_ms": float(np.percentile(lat_ms, 99)),
-                    }
-                )
-                if reference is None:
-                    reference = predictions
-                elif predictions != reference:
-                    identical = False
-    finally:
-        if server is not None:
-            server.close()
-        if gateway is not None:
-            gateway.close()
-    return WireBenchResult(
+def _counters(instance_stats: Dict[str, dict]) -> Tuple[int, int, int]:
+    """Fleet-summed (batches, deferred predicts, cache hits)."""
+    return (
+        sum(s["scheduler"]["n_batches"] for s in instance_stats.values()),
+        sum(s["scheduler"]["n_deferred"] for s in instance_stats.values()),
+        sum(s["stage"]["cache_hits"] for s in instance_stats.values()),
+    )
+
+
+def _measure(
+    config: BenchConfig,
+    backend: ReplayBackend,
+    warmups: List[Trace],
+    streams: Dict[str, list],
+    n_clients: int,
+    inflight: int,
+) -> Tuple[dict, Dict[str, List[float]]]:
+    """One grid point on a fresh, freshly warmed fleet; returns the row
+    and the measured predictions (for the parity check)."""
+    instances = [warmup.instance for warmup in warmups]
+    with open_tier(backend, instances, stage_config=config.stage, random_state=config.seed) as tier:
+        tier.replay(warmups, n_clients=1, n_submitters=len(warmups))
+        tier.drain()
+        batches0, deferred0, hits0 = _counters(tier.instance_stats())
+        wall, latencies, predictions = drive_closed_loop(
+            tier.connect, streams, n_clients, inflight, tier.timeout
+        )
+        tier.drain()
+        batches1, deferred1, hits1 = _counters(tier.instance_stats())
+    n_measured = sum(len(records) for records in streams.values())
+    lat_ms = np.array(latencies) * 1000.0
+    row = {
+        "tier": backend.mode,
+        "shards": None if backend.mode == "service" else backend.gateway.n_shards,
+        "clients": n_clients,
+        "inflight": inflight,
+        "wall_s": wall,
+        "qps": n_measured / wall,
+        "p50_ms": float(np.percentile(lat_ms, 50)),
+        "p95_ms": float(np.percentile(lat_ms, 95)),
+        "p99_ms": float(np.percentile(lat_ms, 99)),
+        "n_batches": float(batches1 - batches0),
+        "mean_batch": (deferred1 - deferred0) / max(batches1 - batches0, 1),
+        "hit_frac": (hits1 - hits0) / n_measured,
+    }
+    return row, predictions
+
+
+_LABELS = ("tier", "shards", "clients", "inflight")
+
+
+def run_bench(config: Optional[BenchConfig] = None) -> BenchResult:
+    """Sweep the grid; see the module docstring."""
+    config = config or BenchConfig()
+    gen = FleetGenerator(FleetConfig(seed=config.seed, volume_scale=config.volume_scale))
+    warmups: List[Trace] = []
+    streams: Dict[str, list] = {}
+    for index in range(config.n_instances):
+        trace = gen.generate_trace(gen.sample_instance(index), config.duration_days)
+        n_warmup = int(len(trace) * _WARMUP_FRACTION)
+        warmups.append(Trace(trace.instance, trace.records[:n_warmup], trace.duration_days))
+        streams[trace.instance.instance_id] = trace.records[n_warmup:]
+    n_measured = sum(len(records) for records in streams.values())
+    if not n_measured:
+        raise ValueError("bench has no measurement segment — raise duration_days/volume_scale")
+
+    grid = [
+        (backend, n_clients, inflight)
+        for backend in config.backends
+        for n_clients in config.client_counts
+        for inflight in config.inflight_counts
+    ]
+    samples: List[List[dict]] = [[] for _ in grid]
+    reference = None
+    identical = True
+    for _ in range(config.repeats):
+        for point, (backend, n_clients, inflight) in enumerate(grid):
+            row, predictions = _measure(config, backend, warmups, streams, n_clients, inflight)
+            samples[point].append(row)
+            if reference is None:
+                reference = predictions
+            elif predictions != reference:
+                identical = False
+    rows = []
+    for reps in samples:
+        row = dict(reps[0])
+        for key in row.keys() - set(_LABELS):
+            row[key] = float(statistics.median(r[key] for r in reps))
+        rows.append(row)
+    return BenchResult(
         n_instances=config.n_instances,
-        n_warmup=sum(len(w) for w in warmups),
-        n_measured=len(measured),
-        address=f"{host}:{port}",
+        n_warmup=sum(len(warmup) for warmup in warmups),
+        n_measured=n_measured,
+        repeats=config.repeats,
         rows=rows,
         predictions_identical=identical,
     )

@@ -5,8 +5,8 @@ Four tiers can serve a Stage prediction — in-process
 :class:`~repro.service.FleetGateway`, and the TCP
 :class:`~repro.service.WireClient` — and all of them speak the same
 futures-based surface: :class:`PredictorClient`.  The replay harness,
-the scenario engine and the fleet control plane program against this
-protocol only, so a new tier (or a test double) plugs in by implementing
+the scenario engine, the serving bench and the fleet control plane
+program against this protocol only, so a new tier (or a test double) plugs in by implementing
 five methods instead of growing a special case in each of them.
 
 :func:`replay_trace_via_client` is the one replay driver built on it:

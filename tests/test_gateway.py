@@ -380,27 +380,3 @@ class TestFleetSnapshot:
         json.dump(manifest, open(manifest_path, "w"))
         with pytest.raises(ValueError, match="version"):
             registry.load_fleet_manifest("v-test")
-
-
-# ---------------------------------------------------------------------------
-# gateway bench plumbing (scaled down; the real run is the CLI's)
-# ---------------------------------------------------------------------------
-class TestGatewayBenchSmoke:
-    def test_bench_reports_grid_and_parity(self):
-        from repro.service import GatewayBenchConfig, run_gateway_bench
-
-        result = run_gateway_bench(
-            GatewayBenchConfig(
-                n_instances=2,
-                duration_days=0.5,
-                volume_scale=VOLUME,
-                shard_counts=(1, 2),
-                client_counts=(2,),
-                stage=fast_profile(),
-            )
-        )
-        assert len(result.rows) == 2
-        assert result.predictions_identical
-        report = result.render()
-        assert "shards=1" in report and "shards=2" in report
-        assert "bit-identical" in report

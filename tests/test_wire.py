@@ -506,28 +506,3 @@ class TestWriteTimeout:
         writer = asyncio.run(scenario())
         assert not writer.transport.aborted
         assert len(writer.frames) == 1
-
-
-# ---------------------------------------------------------------------------
-# wire bench plumbing (scaled down; the real run is the CLI's)
-# ---------------------------------------------------------------------------
-class TestWireBenchSmoke:
-    def test_bench_reports_grid_and_parity(self):
-        from repro.service import WireBenchConfig, run_wire_bench
-
-        result = run_wire_bench(
-            WireBenchConfig(
-                n_instances=2,
-                duration_days=0.4,
-                volume_scale=VOLUME,
-                connection_counts=(1, 2),
-                inflight_counts=(4,),
-                n_shards=1,
-                stage=fast_profile(),
-            )
-        )
-        assert len(result.rows) == 2
-        assert result.predictions_identical
-        report = result.render()
-        assert "conns=1" in report and "conns=2" in report
-        assert "bit-identical" in report
