@@ -277,12 +277,6 @@ class GatewayConfig:
     enqueue_timeout_s: float = 30.0
     #: default timeout for whole-fleet drain/close/snapshot barriers
     drain_timeout_s: float = 120.0
-    #: how long :meth:`~repro.service.FleetGateway.close` may wait to
-    #: hand each live shard its shutdown op before giving up and
-    #: terminating it.  Always bounded by the close deadline as well:
-    #: the effective per-shard budget is
-    #: ``min(shutdown_enqueue_timeout_s, time left before the deadline)``
-    shutdown_enqueue_timeout_s: float = 1.0
     #: machine-readable retry hint carried by
     #: :class:`~repro.service.GatewayBackpressureError` (and surfaced in
     #: the wire protocol's RETRY_AFTER frames) when a shard queue sheds
@@ -301,8 +295,6 @@ class GatewayConfig:
             raise ValueError("enqueue_timeout_s must be > 0")
         if self.drain_timeout_s <= 0:
             raise ValueError("drain_timeout_s must be > 0")
-        if self.shutdown_enqueue_timeout_s <= 0:
-            raise ValueError("shutdown_enqueue_timeout_s must be > 0")
         if self.retry_after_s <= 0:
             raise ValueError("retry_after_s must be > 0")
 
@@ -330,9 +322,6 @@ class WireConfig:
     #: hard cap on a single frame body; oversized length prefixes are
     #: rejected with a structured error before any allocation
     max_frame_bytes: int = 64 * 1024 * 1024
-    #: worker threads that perform gateway submissions, so a
-    #: backpressure-blocked enqueue never stalls the event loop
-    submit_workers: int = 8
     #: a session whose socket send buffer stays full for this long (a
     #: client that stopped reading its responses) is reaped: it gets a
     #: best-effort structured rid-0 ERROR frame and a hard disconnect,
@@ -348,8 +337,6 @@ class WireConfig:
             raise ValueError("idle_timeout_s must be > 0")
         if self.max_frame_bytes < 1024:
             raise ValueError("max_frame_bytes must be >= 1024")
-        if self.submit_workers < 1:
-            raise ValueError("submit_workers must be >= 1")
         if self.write_timeout_s <= 0:
             raise ValueError("write_timeout_s must be > 0")
 

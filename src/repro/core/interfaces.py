@@ -90,15 +90,13 @@ class Prediction:
         interval is lognormal: ``expm1(mu +- z * sigma)``.  Point
         predictions (zero variance) collapse to the estimate itself.
         """
-        if not 0.0 < confidence < 1.0:
-            raise ValueError("confidence must be in (0, 1)")
-        if self.variance <= 0.0:
-            return (self.exec_time, self.exec_time)
-        from scipy.stats import norm
-
         import numpy as np
 
-        z = float(norm.ppf(0.5 + confidence / 2.0))
+        from repro.ml.intervals import z_for
+
+        z = z_for(confidence)
+        if self.variance <= 0.0:
+            return (self.exec_time, self.exec_time)
         mu = np.log1p(max(self.exec_time, 0.0))
         spread = z * self.std
         low = float(np.expm1(max(mu - spread, 0.0)))

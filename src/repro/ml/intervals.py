@@ -57,9 +57,12 @@ def z_for(confidence: float) -> float:
         raise ValueError("confidence must be in (0, 1)")
     z = _Z_CACHE.get(confidence)
     if z is None:
-        from scipy.stats import norm
+        # ndtri is the standard-normal quantile scipy.stats.norm.ppf
+        # computes, bit for bit, without the ~1 s scipy.stats import a
+        # fresh shard would otherwise pay on its first interval
+        from scipy.special import ndtri
 
-        z = _Z_CACHE[confidence] = float(norm.ppf(0.5 + confidence / 2.0))
+        z = _Z_CACHE[confidence] = float(ndtri(0.5 + confidence / 2.0))
     return z
 
 

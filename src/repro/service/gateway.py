@@ -44,11 +44,14 @@ Architecture
   between shards under traffic with a *cut-sequence* protocol: the
   instance's next unclaimed sequence number becomes the cut; ops below
   it keep flowing to the source shard (whose scheduler drains through
-  the cut, then snapshots the quiesced predictor via the
-  :class:`~repro.service.ModelRegistry` per-instance state path), ops
-  at-or-above it buffer at the gateway; the routing entry then cuts
-  over atomically and the buffer flushes to the target.  No sequence
-  gap ever opens, so migration placement is invisible in results.
+  the cut, then encodes the quiesced predictor to bytes with
+  :func:`~repro.service.registry.encode_state`, the format a fleet
+  snapshot's member files hold), ops at-or-above it buffer at the
+  gateway.  The bytes travel in-band — source to parent to target over
+  the shard queues, never through the filesystem — then the routing
+  entry cuts over atomically and the buffer flushes to the target.  No
+  sequence gap ever opens, so migration placement is invisible in
+  results.
 - **Determinism contract** (the PR 3/4 contract, lifted to the fleet):
   results depend only on each instance's sequenced op stream — never on
   shard count, shard assignment, client threading, queue bounds or
@@ -72,8 +75,6 @@ Architecture
 from __future__ import annotations
 
 import itertools
-import shutil
-import tempfile
 import threading
 import time
 from multiprocessing import connection as mp_connection
@@ -93,7 +94,7 @@ from repro.parallelism import pool_context
 from repro.workload.instance import InstanceProfile
 from repro.workload.seeding import derive_seed
 
-from .registry import ModelRegistry
+from .registry import ModelRegistry, decode_state, encode_state
 from .scheduler import OBSERVE, PREDICT
 from .server import PredictionService
 
@@ -166,9 +167,9 @@ _DRAIN = "drain"
 _STATS = "stats"
 _SNAPSHOT = "snapshot"
 _RESTORE = "restore"
-_DETACH = "detach"  # migration: drain through the cut, save instance state
+_DETACH = "detach"  # migration: drain through the cut, encode the state
 _RELEASE = "release"  # migration: drop the detached instance's service
-_ATTACH = "attach"  # migration: load instance state, resume at the cut
+_ATTACH = "attach"  # migration: decode the shipped state, resume at the cut
 _SLEEP = "sleep"  # fault-injection/backpressure test hook: hold the shard busy
 _SHUTDOWN = "shutdown"
 
@@ -187,37 +188,89 @@ class _ShardInit:
     global_model: Optional[GlobalModel]
 
 
+#: how long :meth:`FleetGateway.close` may wait to hand each live shard
+#: its shutdown op before terminating it; the close deadline bounds it
+#: too (the per-shard budget is the smaller of the two)
+_SHUTDOWN_ENQUEUE_TIMEOUT_S = 1.0
+
 #: how long an unaccompanied credit ack may wait for a response
 #: envelope to carry it before the lazy flusher ships it alone (s)
 _ACK_GRACE_S = 0.002
 
 
-class _WorkerOutbox:
-    """Shard-side response batcher.
+class _Outbox:
+    """Single-flusher inline batcher over one process queue.
 
-    Credit acks and op responses accumulate under one lock.  Responses
-    are flushed *inline* by the completing thread — unless a flush is
-    already in flight, in which case that flusher ships whatever
-    accumulated as a single ``(credits, responses)`` envelope on its
-    next pass: one pickle and one parent wakeup for a whole micro-batch
-    of scheduler completions, with no dedicated responder thread on the
-    fast path.  Acks piggyback on those response envelopes (a fast op's
-    credit release and its answer cost the parent a single wakeup); only
-    when an op is slow enough that no response has shipped within a
-    short grace does a lazy background flusher send the acks alone,
-    which keeps the credit-return bound for ops queued behind a stalled
-    one.  An op's ack is always appended before the op is handled, so
-    the parent can never see a response whose credit it has not already
-    been returned.
+    :meth:`put` appends under a lock and flushes *inline* in the calling
+    thread — unless a flush is already in flight, in which case that
+    flusher ships whatever accumulated as one envelope on its next pass:
+    one pickle and one peer wakeup per batch, append order preserved,
+    and no dedicated sender thread on the fast path.  The parent uses
+    one per shard for requests (``[ops]`` envelopes).
+    """
+
+    def __init__(self, queue):
+        self._queue = queue
+        self._cond = threading.Condition()
+        self._items: List[tuple] = []
+        self._sending = False
+
+    def put(self, item: tuple) -> None:
+        with self._cond:
+            self._items.append(item)
+            if self._sending:
+                return  # the in-flight flusher ships it next pass
+            self._sending = True
+        self._flush()
+
+    def _take(self):
+        """The next envelope, or ``None`` when dry (lock held)."""
+        if not self._items:
+            return None
+        envelope, self._items = self._items, []
+        return envelope
+
+    def _flush(self) -> None:
+        """Ship envelopes until dry; only the thread that set
+        ``_sending`` runs this loop."""
+        while True:
+            with self._cond:
+                envelope = self._take()
+                if envelope is None:
+                    self._sending = False
+                    self._cond.notify_all()
+                    return
+            try:
+                self._queue.put(envelope)
+            except (ValueError, OSError, AssertionError):
+                # queue closed under us during teardown
+                with self._cond:
+                    self._sending = False
+                    self._cond.notify_all()
+                return
+
+    def wait_idle(self, timeout: float) -> None:
+        """Let an in-flight flush finish (before closing the queue)."""
+        with self._cond:
+            self._cond.wait_for(lambda: not self._sending, timeout=timeout)
+
+
+class _ResponseOutbox(_Outbox):
+    """Shard-side outbox: ``(credits, responses)`` envelopes.
+
+    Credit acks piggyback on response envelopes (a fast op's credit
+    release and its answer cost the parent a single wakeup); only when
+    an op is slow enough that no response has shipped within a short
+    grace does a lazy background flusher send the acks alone, which
+    keeps the credit-return bound for ops queued behind a stalled one.
+    An op's ack is always taken before the op is handled, so the parent
+    can never see a response whose credit it has not already been
+    returned.
     """
 
     def __init__(self, shard_index: int, response_q):
-        self.shard_index = shard_index
-        self._response_q = response_q
-        self._cond = threading.Condition()
+        super().__init__(response_q)
         self._acks = 0
-        self._responses: List[tuple] = []
-        self._sending = False
         self._stopped = False
         self._ack_flusher = threading.Thread(
             target=self._ack_loop,
@@ -233,30 +286,12 @@ class _WorkerOutbox:
             if self._acks == 1 and not self._sending:
                 self._cond.notify_all()  # arm the lazy flusher's grace timer
 
-    def put(self, response: tuple) -> None:
-        with self._cond:
-            self._responses.append(response)
-            if self._sending:
-                return  # the in-flight flusher ships it next pass
-            self._sending = True
-        self._flush()
-
-    def _flush(self) -> None:
-        while True:
-            with self._cond:
-                if not self._acks and not self._responses:
-                    self._sending = False
-                    self._cond.notify_all()
-                    return
-                acks, self._acks = self._acks, 0
-                responses, self._responses = self._responses, []
-            try:
-                self._response_q.put((acks, responses))
-            except (ValueError, OSError):
-                with self._cond:
-                    self._sending = False
-                    self._cond.notify_all()
-                return
+    def _take(self):
+        if not self._acks and not self._items:
+            return None
+        envelope = (self._acks, self._items)
+        self._acks, self._items = 0, []
+        return envelope
 
     def _ack_loop(self) -> None:
         """Ship acks that no response envelope carried within the grace."""
@@ -282,15 +317,13 @@ class _WorkerOutbox:
             self._stopped = True
             self._cond.notify_all()
         self._ack_flusher.join(5.0)
+        self.wait_idle(5.0)
         with self._cond:
-            self._cond.wait_for(lambda: not self._sending, timeout=5.0)
-            if not self._acks and not self._responses:
-                return
             self._sending = True
-        self._flush()
+        self._flush()  # ships what is left; returns at once when dry
 
 
-def _relay_response(outbox: _WorkerOutbox, op_id: int, future: Future) -> None:
+def _relay_response(outbox: _ResponseOutbox, op_id: int, future: Future) -> None:
     """Done-callback bridging a service future back to the parent."""
     exc = future.exception()
     if exc is not None:
@@ -313,7 +346,7 @@ def _shard_main(shard_index: int, request_q, response_q, init: _ShardInit) -> No
     answered synchronously in arrival order.
     """
     services: Dict[str, PredictionService] = {}
-    outbox = _WorkerOutbox(shard_index, response_q)
+    outbox = _ResponseOutbox(shard_index, response_q)
     while True:
         try:
             envelope = request_q.get()
@@ -330,7 +363,7 @@ def _shard_main(shard_index: int, request_q, response_q, init: _ShardInit) -> No
 def _apply_shard_op(
     shard_index: int,
     services: Dict[str, PredictionService],
-    outbox: _WorkerOutbox,
+    outbox: _ResponseOutbox,
     init: _ShardInit,
     op_id: int,
     kind: str,
@@ -388,29 +421,23 @@ def _apply_shard_op(
         elif kind == _DETACH:
             # Migration source side.  Stragglers below the cut are
             # still flowing through this loop, so the drain must not
-            # block it: a side thread waits out the prefix, pauses
-            # the scheduler, saves the quiesced predictor, and
-            # answers the op itself.
-            instance_id, cut_seq, registry_root, state_name = payload
+            # block it: a side thread waits out the prefix, pauses the
+            # scheduler, encodes the quiesced predictor to bytes (never
+            # the live object: the response is pickled later, on
+            # whichever thread flushes it) and answers the op itself.
+            instance_id, cut_seq = payload
             service = services[instance_id]
 
-            def _detach(
-                op_id=op_id,
-                service=service,
-                cut_seq=cut_seq,
-                registry_root=registry_root,
-                state_name=state_name,
-            ):
+            def _detach(op_id=op_id, service=service, cut_seq=cut_seq):
                 try:
                     service.scheduler.drain_through(cut_seq)
                     with service.scheduler.paused():
-                        ModelRegistry(registry_root).save_instance_state(
-                            service.stage, state_name
-                        )
-                        counters = dict(service.scheduler.stats)
-                    outbox.put(
-                        (op_id, _OK, {"next_seq": cut_seq, "scheduler_stats": counters})
-                    )
+                        handoff = {
+                            "next_seq": cut_seq,
+                            "scheduler_stats": dict(service.scheduler.stats),
+                            "state": encode_state(service.stage),
+                        }
+                    outbox.put((op_id, _OK, handoff))
                 except Exception as exc:
                     outbox.put((op_id, _ERR, exc))
 
@@ -426,18 +453,18 @@ def _apply_shard_op(
             service.close()
             result = instance_id
         elif kind == _ATTACH:
-            registry_root, state_name, instance_id, next_seq, scheduler_stats = payload
+            instance_id, handoff = payload
             if instance_id in services:
                 raise ValueError(f"instance {instance_id!r} already registered")
-            stage = ModelRegistry(registry_root).load_instance_state(
-                state_name, global_model=init.global_model
+            stage = decode_state(
+                handoff["state"], init.global_model, f"migration state of {instance_id!r}"
             )
             service = PredictionService.from_stage(
                 stage, service_config=init.service_config
             )
             # resume exactly at the cut: the prefix ran on the source
-            service.scheduler.advance_to_seq(next_seq)
-            service.scheduler.stats.update(scheduler_stats)
+            service.scheduler.advance_to_seq(handoff["next_seq"])
+            service.scheduler.stats.update(handoff["scheduler_stats"])
             services[instance_id] = service
             result = instance_id
         elif kind == _SLEEP:
@@ -471,8 +498,6 @@ class _Shard:
         "response_q",
         "listener",
         "outbox",
-        "outbox_cond",
-        "sending",
         "credits",
         "depth",
         "credits_cond",
@@ -491,10 +516,7 @@ class _Shard:
         self.listener: Optional[threading.Thread] = None
         #: ops awaiting the next envelope (FIFO); flushed inline by the
         #: submitting thread unless a flush is already in flight
-        self.outbox: List[tuple] = []
-        self.outbox_cond = threading.Condition()
-        #: True while some thread is shipping envelopes from the outbox
-        self.sending = False
+        self.outbox = _Outbox(request_q)
         #: submit capacity: one credit per op the shard has not yet
         #: dequeued; ``queue_size`` total, exactly the old queue bound
         self.credits = credits
@@ -517,12 +539,10 @@ class _Migration:
     All mutation happens under the instance's submit lock.
     """
 
-    __slots__ = ("instance_id", "source", "target", "cut_seq", "buffer")
+    __slots__ = ("instance_id", "cut_seq", "buffer")
 
-    def __init__(self, instance_id: str, source: _Shard, target: _Shard, cut_seq: int):
+    def __init__(self, instance_id: str, cut_seq: int):
         self.instance_id = instance_id
-        self.source = source
-        self.target = target
         self.cut_seq = cut_seq
         self.buffer: List[Tuple[str, object, int, Future]] = []
 
@@ -619,34 +639,6 @@ class FleetGateway:
             daemon=True,
         )
         shard.listener.start()
-
-    # ------------------------------------------------------------------
-    # per-shard request transport (parent side, inline flushing)
-    # ------------------------------------------------------------------
-    def _flush_outbox(self, shard: _Shard) -> None:
-        """Ship outbox envelopes until it runs dry (single flusher).
-
-        Only the thread that flipped ``shard.sending`` runs this loop.
-        Everything other submitters appended while a ``request_q.put``
-        was in flight ships as a single envelope on the next pass — one
-        pickle and one shard wakeup per batch, with append order (and
-        therefore per-shard op order) preserved.
-        """
-        while True:
-            with shard.outbox_cond:
-                if not shard.outbox:
-                    shard.sending = False
-                    shard.outbox_cond.notify_all()
-                    return
-                batch, shard.outbox = shard.outbox, []
-            try:
-                shard.request_q.put(batch)
-            except (ValueError, OSError, AssertionError):
-                # queue closed under us during teardown
-                with shard.outbox_cond:
-                    shard.sending = False
-                    shard.outbox_cond.notify_all()
-                return
 
     # ------------------------------------------------------------------
     # response listeners (one thread per shard)
@@ -797,19 +789,24 @@ class FleetGateway:
             shard.credits -= 1
             shard.depth += 1
 
-    def _outbox_append(self, shard: _Shard, message: tuple) -> None:
-        with shard.outbox_cond:
-            shard.outbox.append(message)
-            if shard.sending:
-                return  # the in-flight flusher ships it with the next envelope
-            shard.sending = True
-        self._flush_outbox(shard)
-
     def _enqueue(
         self, shard: _Shard, op_id: int, message: tuple, instance_id: Optional[str] = None
     ) -> None:
         self._acquire_credit(shard, self.config.enqueue_timeout_s, op_id, instance_id)
-        self._outbox_append(shard, message)
+        shard.outbox.put(message)
+
+    def _enqueue_instance_op(
+        self,
+        shard: _Shard,
+        kind: str,
+        instance_id: str,
+        record,
+        seq: int,
+        future: Optional[Future] = None,
+    ) -> Tuple[int, Future]:
+        op_id, future = self._register_pending(shard, instance_id, future)
+        self._enqueue(shard, op_id, (op_id, kind, (instance_id, record, seq)), instance_id)
+        return op_id, future
 
     def _crash_race_check(self, shard: _Shard, op_id: int, instance_id: Optional[str]) -> None:
         """Close the enqueue-vs-failure-sweep race, identically for
@@ -867,26 +864,14 @@ class FleetGateway:
                 future: Future = Future()
                 migration.buffer.append((kind, record, seq, future))
                 return future
-            op_id, future = self._register_pending(shard, instance_id)
             try:
-                self._enqueue(
-                    shard, op_id, (op_id, kind, (instance_id, record, seq)), instance_id
-                )
+                op_id, future = self._enqueue_instance_op(shard, kind, instance_id, record, seq)
             except GatewayBackpressureError:
                 if claimed:
                     self._instance_seq[instance_id] = seq
                 raise
         self._crash_race_check(shard, op_id, instance_id)
         return future
-
-    def _shard_of(self, instance_id: str) -> _Shard:
-        try:
-            index = self._instances[instance_id]
-        except KeyError:
-            raise KeyError(
-                f"instance {instance_id!r} is not registered with this gateway"
-            ) from None
-        return self._shards[index]
 
     def _live_shards(self) -> List[_Shard]:
         return [shard for shard in self._shards if not shard.crashed]
@@ -1004,13 +989,13 @@ class FleetGateway:
         The cut-sequence protocol: the instance's next unclaimed
         sequence number becomes the *cut*.  Ops below it (all already
         claimed, hence already enqueued) keep flowing to the source
-        shard, whose scheduler drains through the cut and then snapshots
-        the quiesced predictor as a
-        :meth:`~repro.service.ModelRegistry.save_instance_state`
-        artifact; ops at-or-above it buffer at the gateway.  The target
-        shard restores the state with its execution cursor advanced to
-        the cut, the routing entry flips atomically (bumping the table
-        version), and the buffer flushes.  No sequence gap ever opens,
+        shard, whose scheduler drains through the cut and then encodes
+        the quiesced predictor to bytes
+        (:func:`~repro.service.registry.encode_state`); ops at-or-above
+        it buffer at the gateway.  The bytes ride the control-op
+        responses to the target shard, which decodes them with its
+        execution cursor advanced to the cut; the routing entry flips
+        atomically (bumping the table version), and the buffer flushes.  No sequence gap ever opens,
         so the move is invisible in results — only placement changes.
 
         Returns a summary dict (source/target shard, cut sequence,
@@ -1058,30 +1043,15 @@ class FleetGateway:
             # enqueued (claims pair with their enqueue under this lock),
             # so the source can always drain through the cut
             cut_seq = self._instance_seq[instance_id]
-            migration = _Migration(instance_id, source, target, cut_seq)
+            migration = _Migration(instance_id, cut_seq)
             self._migrations[instance_id] = migration
-        scratch = tempfile.mkdtemp(prefix="repro-gateway-migrate-")
         try:
-            handoff = self._submit_control(
-                source, _DETACH, (instance_id, cut_seq, scratch, instance_id)
-            ).result(timeout)
+            handoff = self._submit_control(source, _DETACH, (instance_id, cut_seq)).result(timeout)
             self._submit_control(source, _RELEASE, (instance_id,)).result(timeout)
-            self._submit_control(
-                target,
-                _ATTACH,
-                (
-                    scratch,
-                    instance_id,
-                    instance_id,
-                    handoff["next_seq"],
-                    handoff["scheduler_stats"],
-                ),
-            ).result(timeout)
+            self._submit_control(target, _ATTACH, (instance_id, handoff)).result(timeout)
         except BaseException:
             self._abort_migration(migration)
             raise
-        finally:
-            shutil.rmtree(scratch, ignore_errors=True)
         with lock:
             with self._registry_lock:
                 self._instances[instance_id] = target_index
@@ -1128,26 +1098,19 @@ class FleetGateway:
         callers already hold.  Order is irrelevant (the scheduler's
         reorder buffer sorts by sequence), but a backpressure loss here
         would open a gap, so one failure fails the rest explicitly."""
-        failed: Optional[BaseException] = None
+        failed = False
         for kind, record, seq, future in buffered:
-            if failed is None and not target.crashed:
-                op_id, _ = self._register_pending(target, instance_id, future=future)
+            if not failed:
                 try:
-                    self._enqueue(
-                        target, op_id, (op_id, kind, (instance_id, record, seq)), instance_id
-                    )
-                except GatewayBackpressureError as exc:
-                    failed = exc
-                else:
                     if target.crashed:
-                        # crash race: whoever pops the pending entry
-                        # owns the failure (mirrors _crash_race_check)
-                        if self._pop_pending(target, op_id) is not None:
-                            failed = ShardCrashedError(target.index, instance_id)
-                        else:
-                            continue
-                    else:
-                        continue
+                        raise ShardCrashedError(target.index, instance_id)
+                    op_id, _ = self._enqueue_instance_op(
+                        target, kind, instance_id, record, seq, future
+                    )
+                    self._crash_race_check(target, op_id, instance_id)
+                    continue
+                except (GatewayBackpressureError, ShardCrashedError):
+                    failed = True
             if not future.done():
                 future.set_exception(
                     RuntimeError(
@@ -1230,15 +1193,12 @@ class FleetGateway:
         """
         op_id, _ = self._register_pending(shard, None)
         shard.shutdown_op_id = op_id
-        budget = min(
-            self.config.shutdown_enqueue_timeout_s,
-            max(deadline - time.monotonic(), 0.0),
-        )
+        budget = min(_SHUTDOWN_ENQUEUE_TIMEOUT_S, max(deadline - time.monotonic(), 0.0))
         try:
             self._acquire_credit(shard, budget, op_id, None)
         except GatewayBackpressureError:
             return  # pending entry already popped; terminate below
-        self._outbox_append(shard, (op_id, _SHUTDOWN, ()))
+        shard.outbox.put((op_id, _SHUTDOWN, ()))
 
     def _reap_shard(self, shard: _Shard, deadline: float) -> None:
         """Join / terminate one shard and release its transport."""
@@ -1248,8 +1208,7 @@ class FleetGateway:
             shard.process.join(5.0)
         # let any in-flight inline outbox flush finish before closing
         # the request queue under it
-        with shard.outbox_cond:
-            shard.outbox_cond.wait_for(lambda: not shard.sending, timeout=1.0)
+        shard.outbox.wait_idle(1.0)
         # the listener's dual wait saw the process sentinel fire when
         # the join/terminate above completed, so it is already exiting
         if shard.listener is not None:

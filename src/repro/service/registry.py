@@ -1,6 +1,6 @@
 """Model registry: persistence for the online serving layer.
 
-A :class:`ModelRegistry` is a directory holding two kinds of artifacts:
+A :class:`ModelRegistry` is a directory holding three kinds of artifacts:
 
 - **global models** — the fleet-shared GCN, stored as the ``.npz``
   produced by :mod:`repro.global_model.serialization` (the paper ships
@@ -15,6 +15,11 @@ A :class:`ModelRegistry` is a directory holding two kinds of artifacts:
   stored **once**, and one per-instance member state each shard wrote
   for the instances it owns.  Because shard assignment never affects
   results, a fleet snapshot can be restored under any shard count.
+
+A fleet member's file holds exactly the bytes of :func:`encode_state`,
+the one per-instance state format.  A live migration ships the same
+bytes in-band from the source shard to the target, so it needs no
+registry at all.
 
 The snapshot contract is *bit-for-bit warm restart*: a service restored
 from a snapshot produces exactly the predictions the snapshotted service
@@ -38,7 +43,7 @@ from repro.core.stage import StagePredictor
 from repro.global_model.model import GlobalModel
 from repro.global_model.serialization import load_global_model, save_global_model
 
-__all__ = ["ModelRegistry"]
+__all__ = ["ModelRegistry", "decode_state", "encode_state"]
 
 _SNAPSHOT_FORMAT_VERSION = 1
 _FLEET_FORMAT_VERSION = 1
@@ -47,7 +52,47 @@ _GLOBAL_FILE = "global.npz"
 _MANIFEST_FILE = "manifest.json"
 _FLEET_MANIFEST_FILE = "fleet.json"
 _FLEET_INSTANCES_DIR = "instances"
-_INSTANCE_STATES_DIR = "instances"
+
+
+def _unpickle(data: bytes, artifact: str):
+    try:
+        return pickle.loads(data)
+    except (pickle.UnpicklingError, EOFError, AttributeError, IndexError) as exc:
+        raise ValueError(f"{artifact} is corrupt or truncated: {exc}") from exc
+
+
+def encode_state(stage: StagePredictor) -> bytes:
+    """One quiesced per-instance predictor as bytes.
+
+    The fleet-shared global model is detached first, so the bytes are
+    shard- and fleet-agnostic and a thousand-instance fleet never holds
+    a thousand copies of the same model.  The caller must have quiesced
+    the predictor (a paused scheduler) for the duration of the call.
+    """
+    global_model, stage.global_model = stage.global_model, None
+    try:
+        return pickle.dumps({"format_version": _FLEET_FORMAT_VERSION, "stage": stage})
+    finally:
+        stage.global_model = global_model
+
+
+def decode_state(
+    data: bytes,
+    global_model: Optional[GlobalModel] = None,
+    artifact: str = "instance state",
+) -> StagePredictor:
+    """Inverse of :func:`encode_state`, re-attaching the shared model.
+
+    Corrupt or truncated bytes raise a ``ValueError`` naming
+    ``artifact``, never a raw pickle traceback.
+    """
+    payload = _unpickle(data, artifact)
+    version = payload.get("format_version")
+    if version != _FLEET_FORMAT_VERSION:
+        raise ValueError(f"{artifact} has unsupported format version {version}")
+    stage: StagePredictor = payload["stage"]
+    stage.global_model = global_model
+    return stage
 
 
 class ModelRegistry:
@@ -58,7 +103,6 @@ class ModelRegistry:
         os.makedirs(self._global_dir, exist_ok=True)
         os.makedirs(self._service_dir, exist_ok=True)
         os.makedirs(self._fleet_dir, exist_ok=True)
-        os.makedirs(self._instances_dir, exist_ok=True)
 
     @property
     def _global_dir(self) -> str:
@@ -72,10 +116,6 @@ class ModelRegistry:
     def _fleet_dir(self) -> str:
         return os.path.join(self.root, "fleets")
 
-    @property
-    def _instances_dir(self) -> str:
-        return os.path.join(self.root, _INSTANCE_STATES_DIR)
-
     # ------------------------------------------------------------------
     # error-path helpers: every load failure names the artifact and, for
     # missing ones, lists what the registry actually holds — never a bare
@@ -88,16 +128,6 @@ class ModelRegistry:
                 f"no {kind} named {name!r} in registry {self.root!r} "
                 f"(available: {listing})"
             )
-
-    @staticmethod
-    def _read_pickle(path: str, kind: str, name: str) -> dict:
-        try:
-            with open(path, "rb") as f:
-                return pickle.load(f)
-        except (pickle.UnpicklingError, EOFError, AttributeError, IndexError) as exc:
-            raise ValueError(
-                f"{kind} {name!r} is corrupt or truncated ({path}): {exc}"
-            ) from exc
 
     @staticmethod
     def _read_global(path: str, kind: str, name: str) -> GlobalModel:
@@ -199,7 +229,8 @@ class ModelRegistry:
         path = self.service_snapshot_path(name)
         state_path = os.path.join(path, _STATE_FILE)
         self._require(state_path, "service snapshot", name, self.list_service_snapshots())
-        payload = self._read_pickle(state_path, "service snapshot", name)
+        with open(state_path, "rb") as f:
+            payload = _unpickle(f.read(), f"service snapshot {name!r} ({state_path})")
         version = payload.get("format_version")
         if version != _SNAPSHOT_FORMAT_VERSION:
             raise ValueError(f"unsupported service snapshot version {version}")
@@ -240,34 +271,6 @@ class ModelRegistry:
             if os.path.isdir(os.path.join(self._fleet_dir, d))
         )
 
-    def _write_member_state(self, path: str, stage: StagePredictor) -> str:
-        """Pickle one predictor with the shared global model detached."""
-        os.makedirs(path, exist_ok=True)
-        global_model, stage.global_model = stage.global_model, None
-        try:
-            with open(os.path.join(path, _STATE_FILE), "wb") as f:
-                pickle.dump({"format_version": _FLEET_FORMAT_VERSION, "stage": stage}, f)
-        finally:
-            stage.global_model = global_model
-        return path
-
-    def _read_member_state(
-        self,
-        state_path: str,
-        kind: str,
-        member: str,
-        available: List[str],
-        global_model: Optional[GlobalModel],
-    ) -> StagePredictor:
-        self._require(state_path, kind, member, available)
-        payload = self._read_pickle(state_path, kind, member)
-        version = payload.get("format_version")
-        if version != _FLEET_FORMAT_VERSION:
-            raise ValueError(f"unsupported fleet snapshot version {version}")
-        stage: StagePredictor = payload["stage"]
-        stage.global_model = global_model
-        return stage
-
     def save_fleet_member(self, stage: StagePredictor, name: str) -> str:
         """Snapshot one quiesced per-instance predictor into fleet ``name``.
 
@@ -277,9 +280,11 @@ class ModelRegistry:
         caller — so a thousand-instance fleet never stores a thousand
         copies of the same ``.npz``.
         """
-        return self._write_member_state(
-            self.fleet_member_path(name, stage.instance.instance_id), stage
-        )
+        path = self.fleet_member_path(name, stage.instance.instance_id)
+        os.makedirs(path, exist_ok=True)
+        with open(os.path.join(path, _STATE_FILE), "wb") as f:
+            f.write(encode_state(stage))
+        return path
 
     def load_fleet_member(
         self,
@@ -288,54 +293,14 @@ class ModelRegistry:
         global_model: Optional[GlobalModel] = None,
     ) -> StagePredictor:
         """Load one member predictor, re-attaching the shared model."""
-        path = self.fleet_member_path(name, instance_id)
+        member = f"{name}/{instance_id}"
+        state_path = os.path.join(self.fleet_member_path(name, instance_id), _STATE_FILE)
         instances_dir = os.path.join(self.fleet_snapshot_path(name), _FLEET_INSTANCES_DIR)
         available = sorted(os.listdir(instances_dir)) if os.path.isdir(instances_dir) else []
-        return self._read_member_state(
-            os.path.join(path, _STATE_FILE),
-            "fleet member",
-            f"{name}/{instance_id}",
-            available,
-            global_model,
-        )
-
-    # ------------------------------------------------------------------
-    # standalone per-instance states (the migration primitive)
-    # ------------------------------------------------------------------
-    def instance_state_path(self, name: str) -> str:
-        return os.path.join(self._instances_dir, name)
-
-    def list_instance_states(self) -> List[str]:
-        return sorted(
-            d
-            for d in os.listdir(self._instances_dir)
-            if os.path.isdir(os.path.join(self._instances_dir, d))
-        )
-
-    def save_instance_state(self, stage: StagePredictor, name: str) -> str:
-        """Snapshot one quiesced predictor *outside* any fleet snapshot.
-
-        Same on-disk format as a fleet member (global model detached, so
-        the artifact is shard- and fleet-agnostic), but addressed by a
-        bare name: this is the handoff unit a live migration writes on
-        the source shard and reads on the target shard, with no
-        whole-fleet manifest in sight.
-        """
-        return self._write_member_state(self.instance_state_path(name), stage)
-
-    def load_instance_state(
-        self,
-        name: str,
-        global_model: Optional[GlobalModel] = None,
-    ) -> StagePredictor:
-        """Load one standalone state, re-attaching the shared model."""
-        return self._read_member_state(
-            os.path.join(self.instance_state_path(name), _STATE_FILE),
-            "instance state",
-            name,
-            self.list_instance_states(),
-            global_model,
-        )
+        self._require(state_path, "fleet member", member, available)
+        with open(state_path, "rb") as f:
+            data = f.read()
+        return decode_state(data, global_model, f"fleet member {member!r} ({state_path})")
 
     def save_fleet_manifest(
         self,

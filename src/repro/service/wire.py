@@ -77,7 +77,6 @@ from typing import Dict, Optional, Tuple
 from repro.core.config import WireConfig
 
 from .gateway import FleetGateway, GatewayBackpressureError, ShardCrashedError
-from .scheduler import OBSERVE, PREDICT
 
 __all__ = [
     "MAGIC",
@@ -130,6 +129,31 @@ E_INTERNAL = "internal"
 
 #: session-level frames (idle timeout, protocol faults) use request id 0
 SESSION_RID = 0
+
+
+def _same(value):
+    return value
+
+
+#: op code -> (session counter, gateway method, per-argument coercions).
+#: Every gateway call takes the one path in :meth:`WireServer._apply`:
+#: decode the payload tuple, check its arity, call the method on the
+#: submit pool, respond.
+_GATEWAY_OPS = {
+    OP_PREDICT: ("predicts", "predict_async", (_same, _same, _same)),
+    OP_OBSERVE: ("observes", "observe_async", (_same, _same, _same)),
+    OP_REGISTER: ("controls", "register_instance", (_same,)),
+    OP_RESERVE: ("controls", "reserve_sequence", (_same, int)),
+    OP_STATS: ("controls", "stats", ()),
+    OP_MIGRATE: ("controls", "migrate_instance", (_same, int)),
+    OP_RESIZE: ("controls", "resize", (int,)),
+    OP_ROUTES: ("controls", "routes", ()),
+}
+
+#: threads that make the gateway calls, so a call that blocks (on
+#: backpressure, an instance's submit lock or a migration's drain)
+#: never stalls the event loop
+_SUBMIT_WORKERS = 8
 
 
 class WireError(RuntimeError):
@@ -290,7 +314,7 @@ class WireServer:
         self._session_ids = itertools.count(1)
         self._sessions: Dict[int, _Session] = {}
         self._submit_pool = ThreadPoolExecutor(
-            max_workers=self.config.submit_workers, thread_name_prefix="wire-submit"
+            max_workers=_SUBMIT_WORKERS, thread_name_prefix="wire-submit"
         )
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
@@ -426,10 +450,7 @@ class WireServer:
         """Process one session's inbound frames; True means clean close."""
         idle = self.config.idle_timeout_s
         max_bytes = self.config.max_frame_bytes
-
-        def refuse(request_id: int, code: str, message: str) -> None:
-            session.counters["errors"] += 1
-            out_q.put_nowait(encode_frame(OP_ERROR, request_id, _error_payload(code, message)))
+        refuse = partial(self._refuse, session, out_q)
 
         # --- handshake: the first frame must be a well-formed HELLO ---
         try:
@@ -487,139 +508,59 @@ class WireServer:
                 return True
             await self._apply(session, out_q, op, request_id, payload)
 
+    @staticmethod
+    def _refuse(session, out_q, request_id: int, code: str, message: str) -> None:
+        session.counters["errors"] += 1
+        out_q.put_nowait(encode_frame(OP_ERROR, request_id, _error_payload(code, message)))
+
     async def _apply(self, session, out_q, op: int, request_id: int, payload: bytes) -> None:
-        """Apply one post-handshake frame.  Instance ops resolve
-        asynchronously (their RESULT frame is queued by a done-callback
-        bridged from the gateway's listener thread); control ops are
-        answered before the next frame is read."""
-        loop = asyncio.get_running_loop()
+        """Apply one post-handshake frame.
 
-        def refuse(code: str, message: str) -> None:
-            session.counters["errors"] += 1
-            out_q.put_nowait(encode_frame(OP_ERROR, request_id, _error_payload(code, message)))
-
-        def resolve(value) -> None:
-            out_q.put_nowait(encode_frame(OP_RESULT, request_id, _pickle(value)))
-
-        if op in (OP_PREDICT, OP_OBSERVE):
-            try:
-                instance_id, record, seq = pickle.loads(payload)
-            except Exception as exc:
-                refuse(E_MALFORMED, f"undecodable instance-op payload: {exc}")
-                return
-            session.counters["predicts" if op == OP_PREDICT else "observes"] += 1
-            kind = PREDICT if op == OP_PREDICT else OBSERVE
-            session.in_flight += 1
-            # Ingress sequencing: this await serialises submission per
-            # session (frame arrival order IS sequence order for live
-            # ops), while the executor keeps a backpressure-blocked
-            # enqueue off the event loop so other sessions keep serving.
-            try:
-                future = await loop.run_in_executor(
-                    self._submit_pool,
-                    partial(self.gateway._submit_instance_op, kind, instance_id, record, seq),
-                )
-            except BaseException as exc:
-                session.in_flight -= 1
-                if isinstance(exc, GatewayBackpressureError):
-                    # admission control, not a failure: the session
-                    # stays open and the client backs off retry_after_s
-                    session.counters["retry_after"] += 1
-                else:
-                    session.counters["errors"] += 1
-                out_q.put_nowait(_frame_for_exception(request_id, exc))
-                return
-            future.add_done_callback(partial(self._relay, loop, session, out_q, request_id))
-        elif op == OP_REGISTER:
-            try:
-                (instance,) = pickle.loads(payload)
-            except Exception as exc:
-                refuse(E_MALFORMED, f"undecodable register payload: {exc}")
-                return
-            session.counters["controls"] += 1
-            try:
-                shard_index = await loop.run_in_executor(
-                    self._submit_pool, self.gateway.register_instance, instance
-                )
-            except BaseException as exc:
-                session.counters["errors"] += 1
-                out_q.put_nowait(_frame_for_exception(request_id, exc))
-                return
-            resolve(shard_index)
-        elif op == OP_RESERVE:
-            try:
-                instance_id, count = pickle.loads(payload)
-            except Exception as exc:
-                refuse(E_MALFORMED, f"undecodable reserve payload: {exc}")
-                return
-            session.counters["controls"] += 1
-            try:
-                base = self.gateway.reserve_sequence(instance_id, int(count))
-            except BaseException as exc:
-                session.counters["errors"] += 1
-                out_q.put_nowait(_frame_for_exception(request_id, exc))
-                return
-            resolve(base)
-        elif op == OP_STATS:
-            session.counters["controls"] += 1
-            try:
-                gateway_stats = await loop.run_in_executor(self._submit_pool, self.gateway.stats)
-            except BaseException as exc:
-                session.counters["errors"] += 1
-                out_q.put_nowait(_frame_for_exception(request_id, exc))
-                return
-            resolve({"gateway": gateway_stats, "wire": self._wire_stats()})
-        elif op == OP_MIGRATE:
-            try:
-                instance_id, target_shard = pickle.loads(payload)
-            except Exception as exc:
-                refuse(E_MALFORMED, f"undecodable migrate payload: {exc}")
-                return
-            session.counters["controls"] += 1
-            try:
-                # a migration blocks on the source drain-through — keep
-                # it on the executor so every session stays responsive
-                info = await loop.run_in_executor(
-                    self._submit_pool,
-                    partial(self.gateway.migrate_instance, instance_id, int(target_shard)),
-                )
-            except BaseException as exc:
-                session.counters["errors"] += 1
-                out_q.put_nowait(_frame_for_exception(request_id, exc))
-                return
-            resolve(info)
-        elif op == OP_RESIZE:
-            try:
-                (n_shards,) = pickle.loads(payload)
-            except Exception as exc:
-                refuse(E_MALFORMED, f"undecodable resize payload: {exc}")
-                return
-            session.counters["controls"] += 1
-            try:
-                info = await loop.run_in_executor(
-                    self._submit_pool, partial(self.gateway.resize, int(n_shards))
-                )
-            except BaseException as exc:
-                session.counters["errors"] += 1
-                out_q.put_nowait(_frame_for_exception(request_id, exc))
-                return
-            resolve(info)
-        elif op == OP_ROUTES:
-            session.counters["controls"] += 1
-            try:
-                routes = await loop.run_in_executor(self._submit_pool, self.gateway.routes)
-            except BaseException as exc:
-                session.counters["errors"] += 1
-                out_q.put_nowait(_frame_for_exception(request_id, exc))
-                return
-            resolve(routes)
-        elif op == OP_PING:
+        Every gateway op takes one path (see ``_GATEWAY_OPS``).  The
+        await serialises one session's calls, so frame arrival order IS
+        sequence order for live ops, while the submit pool keeps a
+        blocked call off the event loop so every other session keeps
+        serving.  Instance ops resolve asynchronously (their RESULT
+        frame is queued by a done-callback bridged from the gateway's
+        listener thread); every other op is answered before the next
+        frame is read.
+        """
+        if op == OP_PING:
             session.counters["pings"] += 1
             out_q.put_nowait(encode_frame(OP_RESULT, request_id, b""))
-        else:
+            return
+        if op not in _GATEWAY_OPS:
             # the framing is intact, only this op is unknown: answer a
             # structured error and keep the session
-            refuse(E_UNKNOWN_OP, f"unknown op code {op:#04x}")
+            self._refuse(session, out_q, request_id, E_UNKNOWN_OP, f"unknown op code {op:#04x}")
+            return
+        counter, method, coercions = _GATEWAY_OPS[op]
+        try:
+            args = pickle.loads(payload) if payload else ()
+            if not isinstance(args, tuple) or len(args) != len(coercions):
+                raise ValueError(f"op {op:#04x} takes a {len(coercions)}-tuple")
+        except Exception as exc:
+            self._refuse(session, out_q, request_id, E_MALFORMED, f"undecodable payload: {exc}")
+            return
+        session.counters[counter] += 1
+        loop = asyncio.get_running_loop()
+        try:
+            call = partial(getattr(self.gateway, method), *(c(a) for c, a in zip(coercions, args)))
+            result = await loop.run_in_executor(self._submit_pool, call)
+        except Exception as exc:
+            # admission control is not a failure: the session stays
+            # open and the client backs off retry_after_s
+            backpressure = isinstance(exc, GatewayBackpressureError)
+            session.counters["retry_after" if backpressure else "errors"] += 1
+            out_q.put_nowait(_frame_for_exception(request_id, exc))
+            return
+        if isinstance(result, Future):
+            session.in_flight += 1
+            result.add_done_callback(partial(self._relay, loop, session, out_q, request_id))
+            return
+        if op == OP_STATS:
+            result = {"gateway": result, "wire": self._wire_stats()}
+        out_q.put_nowait(encode_frame(OP_RESULT, request_id, _pickle(result)))
 
     def _relay(self, loop, session, out_q, request_id: int, future: Future) -> None:
         """Done-callback for gateway futures.  Runs on the gateway's

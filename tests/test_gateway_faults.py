@@ -203,9 +203,7 @@ class TestShutdownAndBackpressure:
         stalled (mid 30s sleep) and wedged (request queue full), because
         the shutdown broadcast and the join sweep share one monotonic
         deadline instead of compounding per-shard waits."""
-        gateway, per_shard = two_shard_gateway(
-            traces, queue_size=1, enqueue_timeout_s=0.2, shutdown_enqueue_timeout_s=0.3
-        )
+        gateway, per_shard = two_shard_gateway(traces, queue_size=1, enqueue_timeout_s=0.2)
         shard = min(per_shard)
         trace = per_shard[shard]
         gateway._stall(shard, 30.0)
@@ -215,7 +213,7 @@ class TestShutdownAndBackpressure:
         gateway.close(timeout=2.0)
         elapsed = time.monotonic() - t0
         # deadline (2s) + hard-terminate join; never the 30s stall, and
-        # never shutdown_enqueue_timeout_s summed over shards on top
+        # never the per-shard shutdown-enqueue budget summed over shards
         assert elapsed < 10.0, f"close took {elapsed:.1f}s against a 2s deadline"
         for s in gateway._shards:
             assert not s.process.is_alive()

@@ -20,6 +20,7 @@ from repro.ml.gcn import DirectedGCN
 from repro.ml.preprocessing import StandardScaler
 from repro.plans.graph import NODE_FEATURE_DIM
 from repro.service import ModelRegistry
+from repro.service.registry import decode_state, encode_state
 from repro.workload import FleetConfig, FleetGenerator
 
 
@@ -149,7 +150,7 @@ class TestHappyPathStillWorks:
 
 
 # ---------------------------------------------------------------------------
-# standalone per-instance states (the live-migration handoff unit)
+# per-instance state bytes (fleet-member files and the migration handoff)
 # ---------------------------------------------------------------------------
 def _replay_segment(stage, trace, start, stop):
     """Fused predict+observe over ``trace[start:stop)``; returns the
@@ -167,36 +168,34 @@ def _instance_trace():
     return instance, gen.generate_trace(instance, 0.7)
 
 
-def _load_instance_state_and_predict(args):
-    """Spawn-able worker: load one instance state cold and serve the
-    held-out segment — no fleet manifest, no warm process state."""
+def _decode_state_and_predict(args):
+    """Spawn-able worker: decode one instance's state bytes cold and
+    serve the held-out segment — no registry, no warm process state."""
     import pickle as _pickle
 
-    registry_root, name, n_warm = args
+    data, n_warm = args
     _, trace = _instance_trace()
-    stage = ModelRegistry(registry_root).load_instance_state(name)
+    stage = decode_state(data)
     return _pickle.dumps(_replay_segment(stage, trace, n_warm, len(trace)))
 
 
 class TestInstanceStates:
-    def test_roundtrip_is_bit_identical(self, registry):
-        """Saving one instance mid-stream and restoring it continues the
+    def test_roundtrip_is_bit_identical(self):
+        """Encoding one instance mid-stream and decoding it continues the
         stream bit-for-bit — the property live migration rests on."""
         instance, trace = _instance_trace()
         n_warm = len(trace) // 2
         stage = StagePredictor(instance, config=fast_profile(), random_state=0)
         _replay_segment(stage, trace, 0, n_warm)
-        registry.save_instance_state(stage, "mid-stream")
-        assert registry.list_instance_states() == ["mid-stream"]
+        data = encode_state(stage)
 
         want = _replay_segment(stage, trace, n_warm, len(trace))
-        restored = registry.load_instance_state("mid-stream")
-        got = _replay_segment(restored, trace, n_warm, len(trace))
+        got = _replay_segment(decode_state(data), trace, n_warm, len(trace))
         assert np.array_equal(got, want)
 
-    def test_fresh_spawn_process_restore(self, registry):
-        """The handoff unit survives a cold process boundary (spawn: no
-        inherited memory), exactly as a target shard receives it."""
+    def test_fresh_spawn_process_restore(self):
+        """The state bytes survive a cold process boundary (spawn: no
+        inherited memory), exactly as a target shard receives them."""
         import multiprocessing
         import pickle
         from concurrent.futures import ProcessPoolExecutor
@@ -205,28 +204,22 @@ class TestInstanceStates:
         n_warm = len(trace) // 2
         stage = StagePredictor(instance, config=fast_profile(), random_state=0)
         _replay_segment(stage, trace, 0, n_warm)
-        registry.save_instance_state(stage, "handoff")
+        data = encode_state(stage)
         want = _replay_segment(stage, trace, n_warm, len(trace))
 
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-            payload = pool.submit(
-                _load_instance_state_and_predict, (registry.root, "handoff", n_warm)
-            ).result(timeout=300)
+            payload = pool.submit(_decode_state_and_predict, (data, n_warm)).result(timeout=300)
         assert np.array_equal(pickle.loads(payload), want)
 
-    def test_independent_of_fleet_snapshots(self, registry, instance):
-        """Instance states live beside — never inside — fleet snapshots:
-        neither listing sees the other's artifacts."""
-        stage = StagePredictor(instance, config=fast_profile())
-        registry.save_instance_state(stage, "solo")
-        assert registry.list_fleet_snapshots() == []
-        registry.save_fleet_member(stage, "fleet-x")
-        registry.save_fleet_manifest("fleet-x", [instance.instance_id], n_shards=1)
-        assert registry.list_instance_states() == ["solo"]
+    def test_truncated_bytes_name_the_artifact(self, instance):
+        data = encode_state(StagePredictor(instance, config=fast_profile()))
+        with pytest.raises(ValueError, match="migration state of 'x' is corrupt or truncated"):
+            decode_state(data[: len(data) // 2], artifact="migration state of 'x'")
 
-    def test_missing_instance_state_lists_available(self, registry, instance):
+    def test_fleet_member_file_holds_the_state_bytes(self, registry, instance):
         stage = StagePredictor(instance, config=fast_profile())
-        registry.save_instance_state(stage, "only-one")
-        with pytest.raises(FileNotFoundError, match="no instance state named 'nope'"):
-            registry.load_instance_state("nope")
+        path = registry.save_fleet_member(stage, "fleet-d")
+        with open(os.path.join(path, "state.pkl"), "rb") as f:
+            assert f.read() == encode_state(stage)
+        assert not os.path.exists(os.path.join(registry.root, "instances"))

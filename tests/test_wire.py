@@ -19,8 +19,10 @@ job.
 import asyncio
 import contextlib
 import json
+import pickle
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -368,13 +370,21 @@ class TestProtocolRobustness:
             finally:
                 bystander.close()
 
-    def test_malformed_payload_is_per_request_session_survives(self, traces):
-        """An undecodable PREDICT payload fails that request with a
-        structured error; the framing is intact, so the session lives."""
+    @pytest.mark.parametrize(
+        "payload",
+        [b"not a pickle", pickle.dumps(("a", "b", "c", "d"))],
+        ids=["undecodable", "wrong-arity"],
+    )
+    @pytest.mark.parametrize(
+        "op_name", ["PREDICT", "OBSERVE", "REGISTER", "RESERVE", "MIGRATE", "RESIZE"]
+    )
+    def test_malformed_payload_is_per_request_session_survives(self, traces, op_name, payload):
+        """An undecodable or wrong-arity payload fails that request with
+        a structured error; the framing is intact, so the session lives."""
         with served(traces[:1]) as (_, (host, port)):
             with socket.create_connection((host, port), timeout=10) as sock:
                 _hello(sock)
-                sock.sendall(encode_frame(wire_mod.OP_PREDICT, 7, b"not a pickle"))
+                sock.sendall(encode_frame(getattr(wire_mod, f"OP_{op_name}"), 7, payload))
                 op, request_id, body = _recv_frame(sock)
                 assert op == wire_mod.OP_ERROR and request_id == 7
                 assert json.loads(body)["code"] == wire_mod.E_MALFORMED
@@ -406,6 +416,40 @@ class TestProtocolRobustness:
 # admission control: RETRY_AFTER, not a dropped connection
 # ---------------------------------------------------------------------------
 class TestAdmissionControl:
+    def test_reserve_behind_a_blocked_submit_never_stalls_other_sessions(self, traces):
+        """A RESERVE waits on its instance's submit lock, which a
+        predict blocked on a credit holds for up to enqueue_timeout_s.
+        That wait belongs on the submit pool: a PING on an unrelated
+        session must still answer at once."""
+        gateway_config = GatewayConfig(n_shards=1, queue_size=1, enqueue_timeout_s=4.0)
+        with served(traces[:1], gateway_config=gateway_config) as (gateway, (host, port)):
+            trace = traces[0]
+            instance_id = trace.instance.instance_id
+            with (
+                WireClient(host, port, name="submitter") as a,
+                WireClient(host, port, name="reserver") as b,
+                WireClient(host, port, name="bystander") as c,
+            ):
+                gateway._stall(0, 6.0)
+                time.sleep(0.3)  # let the shard pick the sleep op up
+                first = a.predict_async(instance_id, trace[0])  # takes the only credit
+                blocked = a.predict_async(instance_id, trace[1])  # waits on a credit
+                time.sleep(0.3)
+                # count 0 claims no slot, so it leaves no sequence gap
+                reserved = []
+                reserve = threading.Thread(
+                    target=lambda: reserved.append(b.reserve_sequence(instance_id, 0))
+                )
+                reserve.start()
+                time.sleep(0.3)
+                assert c.ping() < 1.0
+                reserve.join(timeout=30)
+                assert reserved == [1]  # after the shed predict rolled its slot back
+                with pytest.raises(GatewayBackpressureError):
+                    blocked.result(timeout=30)
+                assert first.result(timeout=60).prediction.exec_time >= 0.0
+                gateway.drain()
+
     def test_saturated_queue_backs_off_and_keeps_the_connection(self, traces):
         gateway_config = GatewayConfig(
             n_shards=2, queue_size=1, enqueue_timeout_s=0.2, retry_after_s=0.05
