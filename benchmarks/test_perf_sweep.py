@@ -3,15 +3,12 @@
 Two experiments share ``results/perf_sweep.txt``:
 
 1. The *replay* benchmark replays an 8-instance fleet with full
-   component collection three ways over identical pre-built traces:
-   ``per_query`` (the reference path, re-running the local GBM ensemble
-   once per eligible query), ``batched`` sequential (reuse the router's
-   own ensemble answers, one batched ensemble call per retrain window),
-   and ``batched`` with ``n_jobs=2`` (the process-pool engine, recorded
-   for reference; on a single-core machine it cannot beat 2).  The
-   batched path must be at least 1.5x faster than per-query — that
-   speedup is algorithmic (fewer ensemble invocations), not
-   parallelism, so it holds on any core count.
+   component collection (the router's own ensemble answers plus one
+   batched ensemble call per retrain window) over identical pre-built
+   traces, sequentially and with ``n_jobs=2`` (the process-pool engine).
+   Both wall clocks are recorded with no speedup floor — on a
+   single-core machine the pool cannot win — while bit-identical
+   replays are asserted.
 
 2. The *trainer* benchmark times sharded global-model dataset
    construction (``GlobalModelTrainer.build_dataset``, dedup +
@@ -65,10 +62,8 @@ def assert_replays_identical(a, b):
 
 N_INSTANCES = 8
 DURATION_DAYS = 2.0
-MIN_SPEEDUP = 1.5
 
-#: paper-sized ensemble (10 members) with a moderate tree budget: the
-#: operating point where per-query duplicate inference hurts most
+#: paper-sized ensemble (10 members) with a moderate tree budget
 PERF_STAGE = StageConfig(
     cache=CacheConfig(capacity=500),
     pool=TrainingPoolConfig(max_size=600),
@@ -87,43 +82,32 @@ def test_batched_component_inference_speedup(results_dir):
     traces = FleetGenerator(PERF_FLEET).generate_fleet_traces(N_INSTANCES, DURATION_DAYS)
     n_queries = sum(len(t) for t in traces)
 
-    def sweep(component_inference, n_jobs):
+    def sweep(n_jobs):
         sweeper = FleetSweeper(
             fleet_config=PERF_FLEET,
             stage_config=PERF_STAGE,
             collect_components=True,
-            component_inference=component_inference,
             n_jobs=n_jobs,
         )
         t0 = time.perf_counter()
         replays = sweeper.replay_traces(traces)
         return time.perf_counter() - t0, replays
 
-    t_per_query, r_per_query = sweep("per_query", 1)
-    t_batched, r_batched = sweep("batched", 1)
-    t_parallel, r_parallel = sweep("batched", 2)
+    t_batched, r_batched = sweep(1)
+    t_parallel, r_parallel = sweep(2)
 
-    for a, b, c in zip(r_per_query, r_batched, r_parallel):
+    for a, b in zip(r_batched, r_parallel):
         assert_replays_identical(a, b)
-        assert_replays_identical(a, c)
 
-    speedup = t_per_query / t_batched
     lines = [
         f"fleet sweep: {N_INSTANCES} instances, {n_queries} queries, "
         f"collect_components=True",
-        f"per-query component inference (n_jobs=1): {t_per_query:8.2f} s",
         f"batched component inference   (n_jobs=1): {t_batched:8.2f} s",
         f"batched component inference   (n_jobs=2): {t_parallel:8.2f} s",
-        f"batched speedup over per-query: {speedup:.2f}x (floor {MIN_SPEEDUP}x)",
-        "replay arrays bit-identical across all three paths",
+        "replay arrays bit-identical across both paths",
     ]
     append_result(results_dir, "perf_sweep", "batched component inference", "\n".join(lines))
     print("\n" + "\n".join(lines))
-
-    assert speedup >= MIN_SPEEDUP, (
-        f"batched component inference only {speedup:.2f}x faster than "
-        f"per-query (expected >= {MIN_SPEEDUP}x)"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         registry = ModelRegistry(tmp)
         gateway.snapshot(registry, "warm-fleet")
-        manifest = registry.load_fleet_manifest("warm-fleet")
+        manifest = registry.load_manifest("warm-fleet")
         print(
             f"\nsnapshot 'warm-fleet': {len(manifest['instances'])} member "
             f"states + one manifest (saved from {manifest['n_shards']} shards)"

@@ -6,7 +6,9 @@ hits answered immediately, model-bound predictions micro-batched, and
 execution outcomes fed back through ``observe`` (dedup rule + local
 retrains on the service's worker thread).  Then snapshots the warm
 service into a :class:`ModelRegistry` and restarts it, showing the
-warm restart reproduces predictions exactly.
+warm restart reproduces predictions exactly — whether it comes back as
+a service or, from the same one-instance snapshot, as a two-shard
+:class:`FleetGateway`.
 
 Run:  python examples/online_service.py
 """
@@ -15,8 +17,8 @@ import tempfile
 import threading
 
 from repro import FleetConfig, FleetGenerator, fast_profile
-from repro.core.config import ServiceConfig
-from repro.service import ModelRegistry, PredictionService
+from repro.core.config import GatewayConfig, ServiceConfig
+from repro.service import FleetGateway, ModelRegistry, PredictionService
 
 
 def main() -> None:
@@ -32,10 +34,9 @@ def main() -> None:
     )
 
     # 2. Stand the service up and warm it with the first half of the traffic.
+    service_config = ServiceConfig(max_batch_size=16, max_batch_latency_ms=5.0)
     service = PredictionService(
-        instance,
-        stage_config=fast_profile(),
-        service_config=ServiceConfig(max_batch_size=16, max_batch_latency_ms=5.0),
+        instance, stage_config=fast_profile(), service_config=service_config
     )
     for record in warmup:
         service.predict_async(record)
@@ -85,6 +86,7 @@ def main() -> None:
     )
 
     # 4. Warm restart: snapshot, reload, and verify identical behavior.
+    #    The serving knobs come from the restoring caller, not the snapshot.
     with tempfile.TemporaryDirectory() as root:
         registry = ModelRegistry(root)
         service.snapshot(registry, "end-of-day")
@@ -92,13 +94,22 @@ def main() -> None:
         before = [service.predict(r).exec_time for r in probe]
         service.close()
 
-        restarted = PredictionService.restore(registry, "end-of-day")
+        restarted = PredictionService.restore(
+            registry, "end-of-day", service_config=service_config
+        )
         after = [restarted.predict(r).exec_time for r in probe]
         restarted.close()
-    assert before == after
+
+        # the same snapshot is a one-instance fleet snapshot
+        fleet = FleetGateway.restore(
+            registry, "end-of-day", config=GatewayConfig(n_shards=2, service=service_config)
+        )
+        as_fleet = [fleet.predict(instance.instance_id, r).exec_time for r in probe]
+        fleet.close()
+    assert before == after == as_fleet
     print(
-        f"\nwarm restart: snapshot reloaded, {len(probe)} probe "
-        "predictions reproduced bit-for-bit"
+        f"\nwarm restart: snapshot reloaded as a service and as a 2-shard "
+        f"gateway, {len(probe)} probe predictions reproduced bit-for-bit"
     )
 
 

@@ -202,10 +202,6 @@ class ExecTimeCache:
         self.misses += len(out) - hits
         return out
 
-    def predict(self, feature_vector) -> Optional[float]:
-        """Convenience: hash the vector and :meth:`lookup` it."""
-        return self.lookup(self.key_for(feature_vector))
-
     def stats_for(self, key) -> Optional[RunningStats]:
         """The raw running stats of an entry (read-only use)."""
         return self._entries.get(key)
@@ -281,12 +277,6 @@ class ExecTimeCache:
         self.restores += 1
         self._evict_over_capacity()
         return True
-
-    def observe_vector(self, feature_vector, exec_time):
-        """Hash the vector and :meth:`observe` it; returns the key."""
-        key = self.key_for(feature_vector)
-        self.observe(key, exec_time)
-        return key
 
     # ------------------------------------------------------------------
     @property

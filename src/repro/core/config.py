@@ -206,15 +206,6 @@ class StageConfig:
     #: at 1.5 the global model serves a few percent of queries, matching
     #: the paper's "rarely used (3% of the time)" operating point
     uncertainty_threshold: float = 1.5
-    #: when True, the "certain" half of the short-or-certain rule uses
-    #: the local prediction's calibrated interval instead of its raw
-    #: std: a query is certain iff ``interval_width / (1 + exec_time)``
-    #: is below ``interval_width_threshold``.  Default-off so committed
-    #: results cannot drift; flip it to route on calibrated uncertainty.
-    route_on_interval_width: bool = False
-    #: relative-interval-width certainty threshold (only consulted when
-    #: ``route_on_interval_width`` is set)
-    interval_width_threshold: float = 2.0
     #: workload forecasting (:mod:`repro.forecast`): ``None`` (the
     #: default, so committed results cannot drift) disables it; a
     #: :class:`ForecastConfig` turns on per-instance forecasting and

@@ -25,7 +25,7 @@ from repro.cache import ExecTimeCache
 from repro.forecast import WorkloadForecast
 from repro.global_model.model import GlobalModel
 from repro.local_model.model import LocalModel
-from repro.ml.intervals import new_width_bins, width_bin_index
+from repro.ml.intervals import new_width_bins, width_bin_index, width_percentile_from_bins
 from repro.workload.instance import InstanceProfile
 from repro.workload.query import QueryRecord
 from repro.workload.seeding import derive_seed
@@ -262,6 +262,36 @@ class StagePredictor(Predictor):
         """
         return self.cache.byte_size() + self.local.byte_size()
 
+    def stats(self) -> dict:
+        """The replay/serving accounting summary for this predictor.
+
+        One definition shared by the replay harness and every serving
+        tier, so the parity suites can compare the dicts key-for-key.
+        """
+        return {
+            "cache_hit_rate": self.cache.hit_rate,
+            "cache_hits": self.cache.hits,
+            "cache_misses": self.cache.misses,
+            "source_counts": dict(self.source_counts),
+            "global_use_fraction": self.global_use_fraction,
+            "n_local_retrains": self.local.n_retrains,
+            "byte_size": self.byte_size(),
+            # integer width-histogram counts (mergeable across shards by
+            # elementwise addition) plus the derived width percentiles
+            "interval_width_bins": tuple(self.interval_width_bins),
+            "interval_width_p50": width_percentile_from_bins(self.interval_width_bins, 0.5),
+            "interval_width_p90": width_percentile_from_bins(self.interval_width_bins, 0.9),
+            # workload-forecasting accounting (all zeros with forecasting
+            # off, so dict shapes stay identical across configurations);
+            # forecast_load is the rebalancer's per-instance signal when
+            # ControlConfig.load_source="forecast"
+            "forecast_load": self.forecast_load(),
+            "n_prewarm_touches": self.n_prewarm_touches,
+            "n_prewarm_restores": self.n_prewarm_restores,
+            "n_retrain_deferrals": self.n_retrain_deferrals,
+            "n_trough_retrains": self.n_trough_retrains,
+        }
+
 
 class RoutedSlot:
     """Placeholder for one routed prediction.
@@ -296,9 +326,9 @@ class BatchRouter:
     """Incremental batch routing over one :class:`StagePredictor`.
 
     The single batch-path implementation shared by the replay harness
-    (``component_inference="batched"`` and every serving mode) and the
-    online :class:`~repro.service.PredictionService` — both consume this
-    class, so the offline and serving paths cannot drift.
+    (every replay mode) and the online
+    :class:`~repro.service.PredictionService` — both consume this class,
+    so the offline and serving paths cannot drift.
 
     Contract: interleaving :meth:`route` and :meth:`observe` calls in
     arrival order produces, after the final :meth:`flush`, results
@@ -473,21 +503,11 @@ class BatchRouter:
         return slots
 
     def _global_many(self, plans: List) -> List[Prediction]:
-        """Batched global-model fallback, in window order.
-
-        Uses the model's bit-identical batched forward when it has one
-        (:meth:`~repro.global_model.GlobalModel.predict_many`); global
-        stand-ins that only implement ``predict`` get the equivalent
-        per-plan loop.
-        """
+        """Batched global-model fallback, in window order, through the
+        model's bit-identical batched forward
+        (:meth:`~repro.global_model.GlobalModel.predict_many`)."""
         stage = self.stage
-        many = getattr(stage.global_model, "predict_many", None)
-        if many is not None:
-            return many(plans, stage.instance, n_concurrent=0.0)
-        return [
-            stage.global_model.predict(plan, stage.instance, n_concurrent=0.0)
-            for plan in plans
-        ]
+        return stage.global_model.predict_many(plans, stage.instance, n_concurrent=0.0)
 
     def observe(self, record: QueryRecord) -> None:
         """Apply one execution outcome, in arrival order.
@@ -533,15 +553,7 @@ class BatchRouter:
                 entry.slot.components.local = local_pred
                 continue
             is_short = local_pred.exec_time < cfg.short_circuit_seconds
-            if cfg.route_on_interval_width:
-                # calibrated-uncertainty variant of the "certain" half:
-                # relative width of the nominal-confidence interval
-                rel_width = local_pred.interval_width / (
-                    1.0 + local_pred.exec_time
-                )
-                is_certain = rel_width < cfg.interval_width_threshold
-            else:
-                is_certain = local_pred.std < cfg.uncertainty_threshold
+            is_certain = local_pred.std < cfg.uncertainty_threshold
             if is_short or is_certain or stage.global_model is None:
                 prediction = local_pred
             else:

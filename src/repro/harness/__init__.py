@@ -1,7 +1,7 @@
 """Replay evaluation harness and the paper's experiment runners."""
 
 from .parallel import FleetSweeper, resolve_n_jobs
-from .replay import COMPONENT_INFERENCE_MODES, InstanceReplay, replay_instance
+from .replay import InstanceReplay, replay_instance
 from .reporting import improvement, render_comparison_table, render_simple_table
 from .experiments import (
     SweepConfig,
@@ -17,7 +17,6 @@ from .experiments import (
 )
 
 __all__ = [
-    "COMPONENT_INFERENCE_MODES",
     "FleetSweeper",
     "InstanceReplay",
     "replay_instance",

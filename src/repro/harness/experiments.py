@@ -103,10 +103,6 @@ class SweepConfig:
     use_global: bool = True
     #: record every component's answer on every query (ablation tables)
     collect_components: bool = True
-    #: how component-mode local answers are obtained ("batched" reuses
-    #: the router + one ensemble call per retrain window; "per_query" is
-    #: the bit-identical reference path)
-    component_inference: str = "batched"
     #: worker processes for trace generation, global-model dataset
     #: construction and replay; 1 = sequential/inline, ``<=0`` = all cores
     n_jobs: int = 1
@@ -171,7 +167,6 @@ def run_sweep(
         global_model=global_model,
         random_state=config.seed,
         collect_components=config.collect_components,
-        component_inference=config.component_inference,
         n_jobs=n_jobs,
     )
     t0 = time.time()

@@ -62,7 +62,6 @@ class _ReplaySettings:
     stage_config: Optional[StageConfig]
     random_state: int
     collect_components: bool
-    component_inference: str
     #: whether a global model exists for this sweep
     use_global_model: bool = False
     #: inline path only; always ``None`` in pool-bound settings
@@ -93,7 +92,6 @@ def _replay_trace(trace: Trace, settings: _ReplaySettings) -> InstanceReplay:
         config=settings.stage_config,
         random_state=settings.random_state,
         collect_components=settings.collect_components,
-        component_inference=settings.component_inference,
         backend=settings.backend,
     )
 
@@ -132,7 +130,6 @@ class FleetSweeper:
     global_model: Optional[GlobalModel] = None
     random_state: int = 0
     collect_components: bool = True
-    component_inference: str = "batched"
     #: which serving tier every replay routes through
     #: (:class:`~repro.core.config.ReplayBackend`); ``direct`` and
     #: ``service`` replay per instance (fan out over the pool), while
@@ -156,7 +153,6 @@ class FleetSweeper:
             stage_config=self.stage_config,
             random_state=self.random_state,
             collect_components=self.collect_components,
-            component_inference=self.component_inference,
             use_global_model=self.global_model is not None,
             global_model=self.global_model if inline else None,
             backend=self.backend,
@@ -175,11 +171,6 @@ class FleetSweeper:
 
     # ------------------------------------------------------------------
     def _check_backend(self) -> None:
-        if self.backend.mode != "direct" and self.component_inference != "batched":
-            raise ValueError(
-                "service/gateway/socket replays route through the "
-                'batched path; use component_inference="batched"'
-            )
         if self.reshard_hook is not None and not self._shared_fleet:
             raise ValueError(
                 "reshard_hook requires a shared-fleet backend "

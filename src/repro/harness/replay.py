@@ -23,11 +23,9 @@ engine the online :class:`~repro.service.PredictionService` schedules
 micro-batches through.  ``backend=ReplayBackend(mode="service")`` replays
 the trace *through* a live service (concurrent clients, micro-batch
 scheduler and all) and must reproduce the direct replay bit-for-bit;
-``tests/test_service.py`` enforces that parity.
-
-``component_inference="per_query"`` keeps the reference per-query
-implementation (one extra ensemble inference per eligible query) for
-parity tests and for benchmarking the cost of the batched path.
+``tests/test_service.py`` enforces that parity, and
+``tests/test_parallel.py`` holds the batched path to a per-query
+reference replay (one extra ensemble inference per eligible query).
 """
 
 from __future__ import annotations
@@ -43,16 +41,13 @@ from repro.core.config import ReplayBackend, StageConfig
 from repro.core.interfaces import PredictionSource
 from repro.core.stage import BatchRouter, RoutedComponents, StagePredictor
 from repro.global_model.model import GlobalModel
-from repro.ml.intervals import width_percentile_from_bins
 from repro.workload.trace import Trace
 
 __all__ = [
-    "COMPONENT_INFERENCE_MODES",
     "InstanceReplay",
     "assemble_replay",
     "replay_fleet",
     "replay_instance",
-    "stage_stats_of",
 ]
 
 
@@ -107,10 +102,6 @@ class InstanceReplay:
     @property
     def global_available_mask(self) -> np.ndarray:
         return ~np.isnan(self.global_pred)
-
-
-#: valid ``component_inference`` modes for :func:`replay_instance`
-COMPONENT_INFERENCE_MODES = ("batched", "per_query")
 
 
 def assemble_replay(
@@ -229,57 +220,6 @@ def assemble_replay(
     )
 
 
-def stage_stats_of(stage: StagePredictor) -> dict:
-    """The replay/serving accounting summary for one predictor.
-
-    One definition shared by the replay harness and (shape-wise) the
-    serving layer, so the parity suites can compare the dicts
-    key-for-key.
-    """
-    return {
-        "cache_hit_rate": stage.cache.hit_rate,
-        "cache_hits": stage.cache.hits,
-        "cache_misses": stage.cache.misses,
-        "source_counts": dict(stage.source_counts),
-        "global_use_fraction": stage.global_use_fraction,
-        "n_local_retrains": stage.local.n_retrains,
-        "byte_size": stage.byte_size(),
-        # integer width-histogram counts (mergeable across shards by
-        # elementwise addition) plus the derived width percentiles
-        "interval_width_bins": tuple(stage.interval_width_bins),
-        "interval_width_p50": width_percentile_from_bins(
-            stage.interval_width_bins, 0.5
-        ),
-        "interval_width_p90": width_percentile_from_bins(
-            stage.interval_width_bins, 0.9
-        ),
-        # workload-forecasting accounting (all zeros with forecasting
-        # off, so dict shapes stay identical across configurations);
-        # forecast_load is the rebalancer's per-instance signal when
-        # ControlConfig.load_source="forecast"
-        "forecast_load": stage.forecast_load(),
-        "n_prewarm_touches": stage.n_prewarm_touches,
-        "n_prewarm_restores": stage.n_prewarm_restores,
-        "n_retrain_deferrals": stage.n_retrain_deferrals,
-        "n_trough_retrains": stage.n_trough_retrains,
-    }
-
-
-def _routed_components_direct(
-    trace: Trace,
-    stage: StagePredictor,
-    collect_components: bool,
-) -> List[RoutedComponents]:
-    """Fused predict+observe replay through the shared batch router."""
-    router = BatchRouter(stage, collect_cache_hit_local=collect_components)
-    slots = [None] * len(trace)
-    for i, record in enumerate(trace):
-        slots[i] = router.route(record)
-        router.observe(record)
-    router.flush()
-    return [slot.components for slot in slots]
-
-
 def replay_fleet(
     traces: Sequence[Trace],
     backend: ReplayBackend,
@@ -366,7 +306,6 @@ def replay_instance(
     config: StageConfig | None = None,
     random_state: int = 0,
     collect_components: bool = True,
-    component_inference: str = "batched",
     backend: ReplayBackend | None = None,
 ) -> InstanceReplay:
     """Replay one instance's trace through Stage and AutoWLM.
@@ -374,13 +313,9 @@ def replay_instance(
     When ``collect_components`` is set, the local and global models are
     additionally recorded on *every* eligible query (not only when the
     router would have consulted them), so ablations can compare the
-    components on identical query sets.
-
-    ``component_inference`` selects how the extra local answers are
-    obtained: ``"batched"`` (default) reuses the router's own inference
-    on cache misses and serves cache hits with one batched ensemble call
-    per retrain window; ``"per_query"`` is the bit-identical reference
-    path that re-runs the ensemble per eligible query.
+    components on identical query sets: the router's own inference
+    answers cache misses, and one batched ensemble call per retrain
+    window answers cache hits.
 
     ``backend`` selects which serving tier the Stage predictions route
     through (:class:`~repro.core.config.ReplayBackend`): ``"direct"``
@@ -394,14 +329,7 @@ def replay_instance(
     direct path — arrays *and* accounting — for any batch size, shard
     count or client/connection count.
     """
-    if component_inference not in COMPONENT_INFERENCE_MODES:
-        raise ValueError(f"component_inference must be one of {COMPONENT_INFERENCE_MODES}")
     backend = backend or ReplayBackend()
-    if backend.mode != "direct" and component_inference != "batched":
-        raise ValueError(
-            "service/gateway/socket replays route through the batched "
-            'path; use component_inference="batched"'
-        )
     config = config or StageConfig()
     if backend.mode != "direct":
         return replay_fleet(
@@ -419,35 +347,17 @@ def replay_instance(
         config=config,
         random_state=random_state,
     )
-    if component_inference == "per_query":
-        # Reference path: per-query routing, probing the cache again —
-        # via the non-mutating peek, so the router's lookup stays the
-        # only counted one — and re-running the ensemble on every
-        # local-ready query.
-        components = []
-        for record in trace:
-            routed = stage.predict_with_components(record)
-            if collect_components:
-                routed = RoutedComponents(
-                    prediction=routed.prediction,
-                    cache=stage.cache.peek_prediction(
-                        stage.cache.key_for(record.features)
-                    ),
-                    local=(
-                        stage.local.predict(record.features) if stage.local.is_ready else None
-                    ),
-                    local_ready=stage.local.is_ready,
-                    local_generation=stage.local.n_retrains,
-                )
-            stage.observe(record)
-            components.append(routed)
-    else:
-        components = _routed_components_direct(trace, stage, collect_components)
-
+    # fused predict+observe through the shared batch router
+    router = BatchRouter(stage, collect_cache_hit_local=collect_components)
+    slots = []
+    for record in trace:
+        slots.append(router.route(record))
+        router.observe(record)
+    router.flush()
     return assemble_replay(
         trace,
-        components,
-        stage_stats_of(stage),
+        [slot.components for slot in slots],
+        stage.stats(),
         config=config,
         global_model=global_model,
         random_state=random_state,

@@ -8,11 +8,12 @@ package provides that deployment shape:
   one :class:`~repro.core.stage.StagePredictor`, bit-identical to the
   offline replay for the same op stream;
 - :class:`MicroBatchScheduler` — the sequenced batch scheduler;
-- :class:`FleetGateway` — the sharded multi-process fleet tier: many
-  per-instance services behind one thread-safe front door, with crash
-  containment, backpressure and whole-fleet warm restart;
-- :class:`ModelRegistry` — persistence for global models, bit-for-bit
-  warm-restart service snapshots and whole-fleet gateway snapshots;
+- :class:`FleetGateway` — the sharded multi-process fleet tier: one
+  service per instance, all behind one thread-safe front door, with
+  crash containment, backpressure and whole-fleet warm restart;
+- :class:`ModelRegistry` — bit-for-bit warm-restart snapshots in one
+  format for both tiers (a service snapshot is a one-instance fleet
+  snapshot);
 - :class:`WireServer` / :class:`WireClient` — the network front door:
   an asyncio TCP server speaking a length-prefixed binary frame
   protocol in front of the gateway, with per-session lifecycle,

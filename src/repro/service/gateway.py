@@ -4,7 +4,7 @@ Stage runs *inside* every Redshift instance in a fleet, so the
 production shape of this reproduction is not one
 :class:`~repro.service.PredictionService` but thousands of them behind a
 single front door.  :class:`FleetGateway` is that front door: it shards
-per-instance services across ``n_shards`` OS worker processes (built
+one service per instance across ``n_shards`` OS worker processes (built
 from the same :func:`repro.parallelism.pool_context` every pool in the
 repo uses, so ``REPRO_MP_START_METHOD`` governs it too) and exposes a
 thread-safe client API — ``predict(instance_id, record)`` /
@@ -45,7 +45,7 @@ Architecture
   instance's next unclaimed sequence number becomes the cut; ops below
   it keep flowing to the source shard (whose scheduler drains through
   the cut, then encodes the quiesced predictor to bytes with
-  :func:`~repro.service.registry.encode_state`, the format a fleet
+  :func:`~repro.service.registry.encode_state`, the format a
   snapshot's member files hold), ops at-or-above it buffer at the
   gateway.  The bytes travel in-band — source to parent to target over
   the shard queues, never through the filesystem — then the routing
@@ -65,11 +65,13 @@ Architecture
   the instance id); other shards keep serving, and :meth:`close` still
   drains and joins cleanly.
 - **Snapshot/restore.** :meth:`snapshot` quiesces the fleet and writes
-  one :class:`~repro.service.ModelRegistry` fleet snapshot: each shard
-  saves its members' states, the parent writes the fleet-shared global
-  model once plus a single manifest spanning all shards.  Because shard
+  one :class:`~repro.service.ModelRegistry` snapshot: each shard saves
+  its members' states, the parent writes the fleet-shared global model
+  once plus a single manifest spanning all shards.  Because shard
   assignment never affects results, :meth:`restore` rebuilds the fleet
-  bit-for-bit under *any* shard count.
+  bit-for-bit under *any* shard count, and a
+  :class:`~repro.service.PredictionService` snapshot (one member)
+  restores as a fleet too.
 """
 
 from __future__ import annotations
@@ -333,7 +335,7 @@ def _relay_response(outbox: _ResponseOutbox, op_id: int, future: Future) -> None
 
 
 def _shard_main(shard_index: int, request_q, response_q, init: _ShardInit) -> None:
-    """One shard worker: owns its instances' services, applies ops.
+    """One shard worker: serves the instances it owns, applies ops.
 
     The request queue carries *envelopes* (lists of ops).  Each op's
     credit is acked the moment the loop reaches it — before it is
@@ -345,7 +347,7 @@ def _shard_main(shard_index: int, request_q, response_q, init: _ShardInit) -> No
     shard loop never blocks behind a micro-batch; control ops are
     answered synchronously in arrival order.
     """
-    services: Dict[str, PredictionService] = {}
+    served: Dict[str, PredictionService] = {}
     outbox = _ResponseOutbox(shard_index, response_q)
     while True:
         try:
@@ -355,14 +357,14 @@ def _shard_main(shard_index: int, request_q, response_q, init: _ShardInit) -> No
             return
         for op_id, kind, payload in envelope:
             outbox.ack()  # the op left the queue: return its credit now
-            if not _apply_shard_op(shard_index, services, outbox, init, op_id, kind, payload):
+            if not _apply_shard_op(shard_index, served, outbox, init, op_id, kind, payload):
                 outbox.close()
                 return
 
 
 def _apply_shard_op(
     shard_index: int,
-    services: Dict[str, PredictionService],
+    served: Dict[str, PredictionService],
     outbox: _ResponseOutbox,
     init: _ShardInit,
     op_id: int,
@@ -373,15 +375,15 @@ def _apply_shard_op(
     try:
         if kind in (PREDICT, OBSERVE):
             instance_id, record, seq = payload
-            service = services[instance_id]
+            service = served[instance_id]
             future = service.scheduler.submit(kind, record, seq=seq)
             future.add_done_callback(partial(_relay_response, outbox, op_id))
             return True
         if kind == _REGISTER:
             (instance,) = payload
-            if instance.instance_id in services:
+            if instance.instance_id in served:
                 raise ValueError(f"instance {instance.instance_id!r} already registered")
-            services[instance.instance_id] = PredictionService(
+            served[instance.instance_id] = PredictionService(
                 instance,
                 global_model=init.global_model,
                 stage_config=init.stage_config,
@@ -390,31 +392,29 @@ def _apply_shard_op(
             )
             result = instance.instance_id
         elif kind == _DRAIN:
-            for service in services.values():
+            for service in served.values():
                 service.drain()
-            result = len(services)
+            result = len(served)
         elif kind == _STATS:
-            result = {iid: service.stats() for iid, service in services.items()}
+            result = {iid: service.stats() for iid, service in served.items()}
         elif kind == _SNAPSHOT:
             registry_root, name = payload
             registry = ModelRegistry(registry_root)
             result = []
-            for instance_id in sorted(services):
-                service = services[instance_id]
+            for instance_id in sorted(served):
+                service = served[instance_id]
                 service.drain()
                 with service.scheduler.paused():
-                    registry.save_fleet_member(service.stage, name)
+                    registry.save_member(service.stage, name)
                 result.append(instance_id)
         elif kind == _RESTORE:
             registry_root, name, instance_ids = payload
             registry = ModelRegistry(registry_root)
             for instance_id in instance_ids:
-                if instance_id in services:
+                if instance_id in served:
                     raise ValueError(f"instance {instance_id!r} already registered")
-                stage = registry.load_fleet_member(
-                    name, instance_id, global_model=init.global_model
-                )
-                services[instance_id] = PredictionService.from_stage(
+                stage = registry.load_member(name, instance_id, global_model=init.global_model)
+                served[instance_id] = PredictionService.from_stage(
                     stage, service_config=init.service_config
                 )
             result = list(instance_ids)
@@ -426,7 +426,7 @@ def _apply_shard_op(
             # the live object: the response is pickled later, on
             # whichever thread flushes it) and answers the op itself.
             instance_id, cut_seq = payload
-            service = services[instance_id]
+            service = served[instance_id]
 
             def _detach(op_id=op_id, service=service, cut_seq=cut_seq):
                 try:
@@ -449,12 +449,12 @@ def _apply_shard_op(
             return True
         elif kind == _RELEASE:
             (instance_id,) = payload
-            service = services.pop(instance_id)
+            service = served.pop(instance_id)
             service.close()
             result = instance_id
         elif kind == _ATTACH:
             instance_id, handoff = payload
-            if instance_id in services:
+            if instance_id in served:
                 raise ValueError(f"instance {instance_id!r} already registered")
             stage = decode_state(
                 handoff["state"], init.global_model, f"migration state of {instance_id!r}"
@@ -465,14 +465,14 @@ def _apply_shard_op(
             # resume exactly at the cut: the prefix ran on the source
             service.scheduler.advance_to_seq(handoff["next_seq"])
             service.scheduler.stats.update(handoff["scheduler_stats"])
-            services[instance_id] = service
+            served[instance_id] = service
             result = instance_id
         elif kind == _SLEEP:
             (seconds,) = payload
             time.sleep(seconds)
             result = None
         elif kind == _SHUTDOWN:
-            for service in services.values():
+            for service in served.values():
                 service.close()
             outbox.put((op_id, _OK, None))
             return False
@@ -551,7 +551,7 @@ class _Migration:
 # the gateway
 # ---------------------------------------------------------------------------
 class FleetGateway:
-    """Sharded multi-process serving tier over per-instance services.
+    """Sharded multi-process serving tier, one service per instance.
 
     Parameters
     ----------
@@ -1374,10 +1374,9 @@ class FleetGateway:
                 # the manifest is what makes a snapshot restorable — never
                 # write it over stale member state from an earlier snapshot
                 raise RuntimeError(f"fleet snapshot {name!r} missed instances {missing}")
-            registry.save_fleet_manifest(
+            return registry.save_manifest(
                 name, sorted(self._instances), self.n_shards, global_model=self.global_model
             )
-            return registry.fleet_snapshot_path(name)
 
     @classmethod
     def restore(
@@ -1395,8 +1394,8 @@ class FleetGateway:
         own ``config.n_shards`` and each shard loads the member states it
         now owns.  Warm restart is bit-for-bit, retrains included.
         """
-        manifest = registry.load_fleet_manifest(name)
-        global_model = registry.load_fleet_global(name) if manifest["has_global_model"] else None
+        manifest = registry.load_manifest(name)
+        global_model = registry.load_global(name) if manifest["has_global_model"] else None
         gateway = cls(
             config,
             stage_config=stage_config,

@@ -194,15 +194,21 @@ class PredictionService:
     # persistence (warm restart)
     # ------------------------------------------------------------------
     def snapshot(self, registry: ModelRegistry, name: str) -> str:
-        """Drain, then persist this service's full state under ``name``.
+        """Drain, then persist this service as the one-instance snapshot
+        ``name``; returns its path.
 
         The scheduler is paused for the duration of the write, so the
         snapshot is a consistent op-stream prefix even with concurrent
         clients: late submissions queue and execute after the snapshot.
+        The layout is a gateway's, so the snapshot restores as a
+        :class:`~repro.service.FleetGateway` under any shard count too.
         """
         self.drain()
         with self.scheduler.paused():
-            return registry.save_service_state(self.stage, name, service_config=self.config)
+            registry.save_member(self.stage, name)
+        return registry.save_manifest(
+            name, [self.instance_id], n_shards=1, global_model=self.stage.global_model
+        )
 
     @classmethod
     def restore(
@@ -211,8 +217,22 @@ class PredictionService:
         name: str,
         service_config: Optional[ServiceConfig] = None,
     ) -> "PredictionService":
-        """Rebuild a service from a snapshot (bit-for-bit warm restart)."""
-        return registry.load_service(name, service_config=service_config)
+        """Rebuild a service from a one-instance snapshot (bit-for-bit
+        warm restart), serving with ``service_config``.
+
+        Any one-instance snapshot works, a gateway's included; a
+        snapshot of any other number of instances raises ``ValueError``.
+        """
+        manifest = registry.load_manifest(name)
+        instance_ids = manifest["instances"]
+        if len(instance_ids) != 1:
+            raise ValueError(
+                f"snapshot {name!r} holds {len(instance_ids)} instances; "
+                "a PredictionService restores exactly one"
+            )
+        global_model = registry.load_global(name) if manifest["has_global_model"] else None
+        stage = registry.load_member(name, instance_ids[0], global_model=global_model)
+        return cls.from_stage(stage, service_config=service_config)
 
     # ------------------------------------------------------------------
     def maintenance_window(self) -> Optional[dict]:
@@ -242,10 +262,7 @@ class PredictionService:
         harness reports (one shared definition), so serving and replay
         accounting line up key-for-key.
         """
-        # lazy: repro.harness imports repro.service for its serving modes
-        from repro.harness.replay import stage_stats_of
-
         return {
-            "stage": stage_stats_of(self.stage),
+            "stage": self.stage.stats(),
             "scheduler": dict(self.scheduler.stats),
         }

@@ -84,9 +84,8 @@ class TestExecTimeCacheBasics:
     def test_vector_roundtrip(self):
         cache = ExecTimeCache(capacity=10)
         vec = np.arange(33, dtype=float)
-        key = cache.observe_vector(vec, 3.0)
-        assert cache.predict(vec) == pytest.approx(3.0)
-        assert key == cache.key_for(vec)
+        cache.observe(cache.key_for(vec), 3.0)
+        assert cache.lookup(cache.key_for(vec.copy())) == pytest.approx(3.0)
 
 
 class TestEviction:

@@ -8,7 +8,9 @@ queue bounds and client interleaving are all invisible.  On top of that,
 shard routing (golden values + cross-process stability), permutation
 invariance of whole-fleet replays, fleet metrics aggregation and the
 whole-fleet snapshot/restore path (same-process, re-sharded and
-fresh-spawn-process) are covered individually.  Crash/backpressure
+fresh-spawn-process) are covered individually, as is the one snapshot
+format: a service snapshot restores as a gateway and a one-instance
+gateway snapshot as a service.  Crash/backpressure
 semantics live in ``tests/test_gateway_faults.py``.
 """
 
@@ -19,14 +21,21 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-# shared parity helpers live with the service suite (one definition)
-from test_service import assert_replays_identical
+# shared parity and warm-restart helpers live with the service suite
+from test_service import _held_out_predictions, _warm_service, assert_replays_identical
 
-from repro.core.config import GatewayConfig, ReplayBackend, ServiceConfig, fast_profile
+from repro.core.config import (
+    GatewayConfig,
+    GlobalModelConfig,
+    ReplayBackend,
+    ServiceConfig,
+    fast_profile,
+)
+from repro.global_model import GlobalModelTrainer
 from repro.harness import FleetSweeper
 from repro.parallelism import pool_map
 from repro.scenarios import registered_scenarios
-from repro.service import FleetGateway, ModelRegistry, shard_for
+from repro.service import FleetGateway, ModelRegistry, PredictionService, shard_for
 from repro.workload import FleetConfig, FleetGenerator
 
 SEED = 3
@@ -149,12 +158,6 @@ class TestGatewayParity:
         for position, replay in zip(order, permuted):
             assert_replays_identical(direct_replays[position], replay)
 
-    def test_via_gateway_rejects_per_query_mode(self, traces):
-        with pytest.raises(ValueError, match="batched"):
-            make_sweeper(
-                backend=gateway_backend(), component_inference="per_query"
-            ).replay_traces(traces)
-
 
 # every registered scenario must replay through the gateway
 # bit-identically; shard and client counts rotate through {1,2,3} so the
@@ -265,10 +268,11 @@ class TestGatewayService:
 # ---------------------------------------------------------------------------
 # whole-fleet snapshot/restore
 # ---------------------------------------------------------------------------
-def _warm_gateway(traces, n_shards, n_warm_fraction=0.5):
+def _warm_gateway(traces, n_shards, n_warm_fraction=0.5, global_model=None):
     gateway = FleetGateway(
         GatewayConfig(n_shards=n_shards, service=ServiceConfig(max_batch_size=8)),
         stage_config=fast_profile(),
+        global_model=global_model,
         random_state=0,
     )
     for trace in traces:
@@ -327,11 +331,11 @@ class TestFleetSnapshot:
         want_stats = {i: s["stage"] for i, s in gateway.stats()["instances"].items()}
         gateway.close()
 
-        manifest = registry.load_fleet_manifest("warm")
+        manifest = registry.load_manifest("warm")
         assert manifest["instances"] == sorted(t.instance.instance_id for t in traces)
         assert manifest["n_shards"] == 2
         assert not manifest["has_global_model"]
-        assert registry.list_fleet_snapshots() == ["warm"]
+        assert registry.list_snapshots() == ["warm"]
 
         restored = FleetGateway.restore(registry, "warm", config=GatewayConfig(n_shards=3))
         got = _held_out_fleet_predictions(restored, traces)
@@ -364,7 +368,7 @@ class TestFleetSnapshot:
     def test_manifest_missing_member_rejected(self, traces, tmp_path):
         registry = ModelRegistry(str(tmp_path))
         with pytest.raises(ValueError, match="missing member state"):
-            registry.save_fleet_manifest("broken", ["inst-9999"], n_shards=1)
+            registry.save_manifest("broken", ["inst-9999"], n_shards=1)
 
     def test_unsupported_fleet_version_rejected(self, traces, tmp_path):
         import json
@@ -374,9 +378,78 @@ class TestFleetSnapshot:
         gateway = _warm_gateway(traces[:1], n_shards=1)
         gateway.snapshot(registry, "v-test")
         gateway.close()
-        manifest_path = os.path.join(registry.fleet_snapshot_path("v-test"), "fleet.json")
+        manifest_path = os.path.join(registry.snapshot_path("v-test"), "manifest.json")
         manifest = json.load(open(manifest_path))
         manifest["format_version"] = 999
         json.dump(manifest, open(manifest_path, "w"))
         with pytest.raises(ValueError, match="version"):
-            registry.load_fleet_manifest("v-test")
+            registry.load_manifest("v-test")
+
+
+# ---------------------------------------------------------------------------
+# one snapshot format: a service snapshot is a one-instance fleet snapshot
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def global_model():
+    gen = FleetGenerator(FLEET)
+    train = gen.generate_fleet_traces(2, DURATION, start_index=10_000)
+    return GlobalModelTrainer(
+        GlobalModelConfig(hidden_dim=16, n_conv_layers=2, epochs=2, max_queries_per_instance=60)
+    ).train(train)
+
+
+class TestOneSnapshotFormat:
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_service_snapshot_restores_as_a_gateway(self, traces, global_model, tmp_path, n_shards):
+        registry = ModelRegistry(str(tmp_path))
+        trace = traces[0]
+        instance_id = trace.instance.instance_id
+        n_warm = len(trace) // 2
+        service = _warm_service(trace, global_model, n_warm, max_batch_size=8)
+        service.snapshot(registry, "service")
+        want = _held_out_predictions(service, [trace[i] for i in range(n_warm, len(trace))])
+        want_stats = service.stats()["stage"]
+        service.close()
+        assert want_stats["source_counts"]["global"] > 0
+
+        gateway = FleetGateway.restore(registry, "service", config=GatewayConfig(n_shards=n_shards))
+        try:
+            got = _held_out_fleet_predictions(gateway, [trace])[instance_id]
+            got_stats = gateway.stats()["instances"][instance_id]["stage"]
+        finally:
+            gateway.close()
+        assert got == want
+        assert got_stats == want_stats
+
+    def test_one_instance_gateway_snapshot_restores_as_a_service(
+        self, traces, global_model, tmp_path
+    ):
+        registry = ModelRegistry(str(tmp_path))
+        trace = traces[1]
+        instance_id = trace.instance.instance_id
+        gateway = _warm_gateway([trace], n_shards=2, global_model=global_model)
+        try:
+            gateway.snapshot(registry, "fleet")
+            want = _held_out_fleet_predictions(gateway, [trace])[instance_id]
+            want_stats = gateway.stats()["instances"][instance_id]["stage"]
+        finally:
+            gateway.close()
+
+        service = PredictionService.restore(
+            registry, "fleet", service_config=ServiceConfig(max_batch_size=3)
+        )
+        got = _held_out_predictions(service, [trace[i] for i in range(len(trace) // 2, len(trace))])
+        got_stats = service.stats()["stage"]
+        service.close()
+        assert got == want
+        assert got_stats == want_stats
+
+    def test_two_instance_snapshot_does_not_restore_as_a_service(self, traces, tmp_path):
+        registry = ModelRegistry(str(tmp_path))
+        gateway = _warm_gateway(traces[:2], n_shards=1, n_warm_fraction=0.1)
+        try:
+            gateway.snapshot(registry, "pair")
+        finally:
+            gateway.close()
+        with pytest.raises(ValueError, match="holds 2 instances"):
+            PredictionService.restore(registry, "pair")

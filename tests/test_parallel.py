@@ -1,9 +1,9 @@
-"""Tests for the parallel fleet-sweep engine and component-inference modes.
+"""Tests for the parallel fleet-sweep engine and batched component inference.
 
-The engine's contract is bit-identical results: any ``n_jobs`` and
-either ``component_inference`` mode must reproduce the sequential
-per-query arrays exactly, and component collection must never perturb
-the predictors' accounting (exactly one counted cache lookup per query).
+The engine's contract is bit-identical results: any ``n_jobs`` and the
+batched component inference must reproduce a per-query reference
+replay exactly, and component collection must never perturb the
+predictors' accounting (exactly one counted cache lookup per query).
 """
 
 import pickle
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import GlobalModelConfig, fast_profile
+from repro.core.stage import RoutedComponents, StagePredictor
 from repro.global_model import GlobalModelTrainer
 from repro.harness import (
     FleetSweeper,
@@ -20,6 +21,7 @@ from repro.harness import (
     resolve_n_jobs,
     run_sweep,
 )
+from repro.harness.replay import assemble_replay
 from repro.workload import FleetConfig, FleetGenerator
 
 #: every per-query array an InstanceReplay carries
@@ -57,6 +59,28 @@ def assert_replays_identical(a, b):
     assert a.stage_stats == b.stage_stats
 
 
+def replay_per_query(trace, config):
+    """Reference replay the batched path must match: per-query routing,
+    probing the cache again — via the non-mutating peek, so the router's
+    lookup stays the only counted one — and re-running the local
+    ensemble on every local-ready query."""
+    stage = StagePredictor(trace.instance, config=config)
+    components = []
+    for record in trace:
+        routed = stage.predict_with_components(record)
+        components.append(
+            RoutedComponents(
+                prediction=routed.prediction,
+                cache=stage.cache.peek_prediction(stage.cache.key_for(record.features)),
+                local=stage.local.predict(record.features) if stage.local.is_ready else None,
+                local_ready=stage.local.is_ready,
+                local_generation=stage.local.n_retrains,
+            )
+        )
+        stage.observe(record)
+    return assemble_replay(trace, components, stage.stats(), config=config)
+
+
 @pytest.fixture(scope="module")
 def small_trace():
     gen = FleetGenerator(FleetConfig(seed=9, volume_scale=0.12))
@@ -85,27 +109,18 @@ class TestComponentModes:
     def test_batched_matches_per_query(self, small_trace):
         cfg = fast_profile()
         batched = replay_instance(small_trace, config=cfg)
-        per_query = replay_instance(small_trace, config=cfg, component_inference="per_query")
-        assert_replays_identical(batched, per_query)
-
-    def test_unknown_mode_rejected(self, small_trace):
-        with pytest.raises(ValueError):
-            replay_instance(small_trace, component_inference="loop")
+        assert_replays_identical(batched, replay_per_query(small_trace, cfg))
 
     def test_one_counted_lookup_per_query(self, small_trace):
         """Regression for the stat double-count bug: ``hits + misses``
         equals exactly one lookup per query regardless of component
         collection, and the stage stats are identical with and without
-        it (in both inference modes)."""
+        it (and in the per-query reference)."""
         cfg = fast_profile()
         results = {
-            "off": replay_instance(
-                small_trace, config=cfg, collect_components=False
-            ),
+            "off": replay_instance(small_trace, config=cfg, collect_components=False),
             "batched": replay_instance(small_trace, config=cfg),
-            "per_query": replay_instance(
-                small_trace, config=cfg, component_inference="per_query"
-            ),
+            "per_query": replay_per_query(small_trace, cfg),
         }
         n = len(small_trace)
         for name, replay in results.items():
@@ -204,7 +219,6 @@ class TestPoolInitializer:
             stage_config=None,
             random_state=0,
             collect_components=False,
-            component_inference="batched",
             use_global_model=True,
             global_model=None,
         )

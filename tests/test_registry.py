@@ -4,7 +4,8 @@ Every load failure must be self-describing: a missing artifact raises
 ``FileNotFoundError`` naming the snapshot and listing what the registry
 actually holds, and corrupt/truncated on-disk state raises ``ValueError``
 — never a bare internal-path ``FileNotFoundError`` or a raw pickle
-traceback.
+traceback.  The one snapshot format serves every tier, so the same
+errors surface through :meth:`PredictionService.restore`.
 """
 
 import os
@@ -19,7 +20,7 @@ from repro.global_model.model import GlobalModel
 from repro.ml.gcn import DirectedGCN
 from repro.ml.preprocessing import StandardScaler
 from repro.plans.graph import NODE_FEATURE_DIM
-from repro.service import ModelRegistry
+from repro.service import ModelRegistry, PredictionService
 from repro.service.registry import decode_state, encode_state
 from repro.workload import FleetConfig, FleetGenerator
 
@@ -54,99 +55,117 @@ def _tiny_global_model() -> GlobalModel:
     return GlobalModel(gcn, node_scaler, sys_scaler, residual_variance=0.25)
 
 
+def _save_snapshot(registry, stage, name, global_model=None):
+    """A one-instance snapshot, written the way every tier writes one."""
+    registry.save_member(stage, name)
+    return registry.save_manifest(
+        name, [stage.instance.instance_id], n_shards=1, global_model=global_model
+    )
+
+
+def _snapshot_service(registry, stage, name):
+    service = PredictionService.from_stage(stage)
+    try:
+        return service.snapshot(registry, name)
+    finally:
+        service.close()
+
+
 class TestMissingArtifacts:
     def test_missing_service_snapshot_names_it(self, registry):
-        with pytest.raises(FileNotFoundError, match="no service snapshot named 'nope'"):
-            registry.load_service_state("nope")
+        with pytest.raises(FileNotFoundError, match="no snapshot named 'nope'"):
+            PredictionService.restore(registry, "nope")
 
     def test_missing_snapshot_lists_available(self, registry, instance):
-        stage = StagePredictor(instance, config=fast_profile())
-        registry.save_service_state(stage, "existing")
+        _save_snapshot(registry, StagePredictor(instance, config=fast_profile()), "existing")
         with pytest.raises(FileNotFoundError, match="'existing'"):
-            registry.load_service_state("nope")
+            registry.load_manifest("nope")
 
-    def test_missing_global_model(self, registry):
-        with pytest.raises(FileNotFoundError, match="no global model named 'ghost'"):
-            registry.load_global_model("ghost")
+    def test_missing_global_model(self, registry, instance):
+        stage = StagePredictor(instance, config=fast_profile())
+        path = _save_snapshot(registry, stage, "snap", global_model=_tiny_global_model())
+        os.remove(os.path.join(path, "global.npz"))
+        with pytest.raises(FileNotFoundError, match="no snapshot global model named 'snap'"):
+            PredictionService.restore(registry, "snap")
 
     def test_missing_fleet_snapshot(self, registry):
-        with pytest.raises(FileNotFoundError, match="no fleet snapshot named 'ghost'"):
-            registry.load_fleet_manifest("ghost")
+        with pytest.raises(FileNotFoundError, match="no snapshot named 'ghost'"):
+            registry.load_manifest("ghost")
 
     def test_missing_fleet_member_lists_available(self, registry, instance):
-        stage = StagePredictor(instance, config=fast_profile())
-        registry.save_fleet_member(stage, "fleet-a")
-        registry.save_fleet_manifest("fleet-a", [instance.instance_id], n_shards=1)
+        _save_snapshot(registry, StagePredictor(instance, config=fast_profile()), "fleet-a")
         with pytest.raises(FileNotFoundError) as excinfo:
-            registry.load_fleet_member("fleet-a", "no-such-instance")
+            registry.load_member("fleet-a", "no-such-instance")
         assert instance.instance_id in str(excinfo.value)
 
     def test_missing_fleet_global(self, registry):
-        with pytest.raises(FileNotFoundError, match="fleet snapshot global model"):
-            registry.load_fleet_global("ghost")
+        with pytest.raises(FileNotFoundError, match="snapshot global model"):
+            registry.load_global("ghost")
 
 
 class TestCorruptArtifacts:
     def test_truncated_state_pickle(self, registry, instance):
         stage = StagePredictor(instance, config=fast_profile())
-        path = registry.save_service_state(stage, "snap")
-        state_path = os.path.join(path, "state.pkl")
+        _snapshot_service(registry, stage, "snap")
+        state_path = os.path.join(registry.member_path("snap", instance.instance_id), "state.pkl")
         data = open(state_path, "rb").read()
         with open(state_path, "wb") as f:
             f.write(data[: len(data) // 2])
         with pytest.raises(ValueError, match="corrupt or truncated"):
-            registry.load_service_state("snap")
+            PredictionService.restore(registry, "snap")
 
-    def test_truncated_global_npz(self, registry):
-        path = registry.save_global_model(_tiny_global_model(), "tiny")
-        data = open(path, "rb").read()
-        with open(path, "wb") as f:
+    def test_truncated_global_npz(self, registry, instance):
+        stage = StagePredictor(instance, config=fast_profile())
+        path = _save_snapshot(registry, stage, "tiny", global_model=_tiny_global_model())
+        global_path = os.path.join(path, "global.npz")
+        data = open(global_path, "rb").read()
+        with open(global_path, "wb") as f:
             f.write(data[: len(data) // 2])
         with pytest.raises(ValueError, match="corrupt or truncated"):
-            registry.load_global_model("tiny")
+            registry.load_global("tiny")
 
     def test_garbage_state_pickle(self, registry, instance):
         stage = StagePredictor(instance, config=fast_profile())
-        path = registry.save_service_state(stage, "snap")
-        with open(os.path.join(path, "state.pkl"), "wb") as f:
+        _snapshot_service(registry, stage, "snap")
+        state_path = os.path.join(registry.member_path("snap", instance.instance_id), "state.pkl")
+        with open(state_path, "wb") as f:
             f.write(b"this is not a pickle")
         with pytest.raises(ValueError, match="corrupt or truncated"):
-            registry.load_service_state("snap")
+            PredictionService.restore(registry, "snap")
 
     def test_corrupt_fleet_manifest_json(self, registry, instance):
-        stage = StagePredictor(instance, config=fast_profile())
-        registry.save_fleet_member(stage, "fleet-b")
-        registry.save_fleet_manifest("fleet-b", [instance.instance_id], n_shards=1)
-        manifest_path = os.path.join(registry.fleet_snapshot_path("fleet-b"), "fleet.json")
-        with open(manifest_path, "w") as f:
+        path = _save_snapshot(registry, StagePredictor(instance, config=fast_profile()), "fleet-b")
+        with open(os.path.join(path, "manifest.json"), "w") as f:
             f.write("{ not json")
         with pytest.raises(ValueError, match="corrupt manifest"):
-            registry.load_fleet_manifest("fleet-b")
+            registry.load_manifest("fleet-b")
 
     def test_truncated_fleet_member_pickle(self, registry, instance):
         stage = StagePredictor(instance, config=fast_profile())
-        path = registry.save_fleet_member(stage, "fleet-c")
-        registry.save_fleet_manifest("fleet-c", [instance.instance_id], n_shards=1)
+        path = registry.save_member(stage, "fleet-c")
+        registry.save_manifest("fleet-c", [instance.instance_id], n_shards=1)
         state_path = os.path.join(path, "state.pkl")
         data = open(state_path, "rb").read()
         with open(state_path, "wb") as f:
             f.write(data[: len(data) // 2])
         with pytest.raises(ValueError, match="corrupt or truncated"):
-            registry.load_fleet_member("fleet-c", instance.instance_id)
+            registry.load_member("fleet-c", instance.instance_id)
 
 
 class TestHappyPathStillWorks:
-    def test_global_model_roundtrip_keeps_residual_variance(self, registry):
-        registry.save_global_model(_tiny_global_model(), "tiny")
-        loaded = registry.load_global_model("tiny")
-        assert loaded.residual_variance == 0.25
+    def test_global_model_roundtrip_keeps_residual_variance(self, registry, instance):
+        stage = StagePredictor(instance, config=fast_profile())
+        _save_snapshot(registry, stage, "tiny", global_model=_tiny_global_model())
+        assert registry.load_manifest("tiny")["has_global_model"]
+        assert registry.load_global("tiny").residual_variance == 0.25
 
     def test_service_state_roundtrip_keeps_width_bins(self, registry, instance):
         stage = StagePredictor(instance, config=fast_profile())
         stage.interval_width_bins[3] = 7
-        registry.save_service_state(stage, "snap")
-        loaded, _ = registry.load_service_state("snap")
-        assert loaded.interval_width_bins == stage.interval_width_bins
+        _snapshot_service(registry, stage, "snap")
+        restored = PredictionService.restore(registry, "snap")
+        restored.close()
+        assert restored.stage.interval_width_bins == stage.interval_width_bins
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +238,7 @@ class TestInstanceStates:
 
     def test_fleet_member_file_holds_the_state_bytes(self, registry, instance):
         stage = StagePredictor(instance, config=fast_profile())
-        path = registry.save_fleet_member(stage, "fleet-d")
+        path = registry.save_member(stage, "fleet-d")
         with open(os.path.join(path, "state.pkl"), "rb") as f:
             assert f.read() == encode_state(stage)
-        assert not os.path.exists(os.path.join(registry.root, "instances"))
+        assert registry.list_snapshots() == ["fleet-d"]

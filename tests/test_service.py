@@ -148,15 +148,6 @@ class TestViaServiceParity:
         assert counts["global"] > 0
         assert reference_replay.stage_stats["n_local_retrains"] >= 1
 
-    def test_via_service_rejects_per_query_mode(self, trace):
-        with pytest.raises(ValueError, match="batched"):
-            replay_instance(
-                trace,
-                config=fast_profile(),
-                backend=ReplayBackend(mode="service"),
-                component_inference="per_query",
-            )
-
 
 # ---------------------------------------------------------------------------
 # serving/replay parity under every registered stress scenario
@@ -340,7 +331,7 @@ class TestScheduler:
         service.drain()  # nothing to wait for
         registry = ModelRegistry(str(tmp_path))
         service.snapshot(registry, "cold")  # pause/quiesce with no worker
-        assert registry.list_service_snapshots() == ["cold"]
+        assert registry.list_snapshots() == ["cold"]
         service.close()
         assert service.closed
         service.close()  # double-close is a no-op
@@ -461,9 +452,13 @@ def _restore_and_predict(args):
 class TestModelRegistry:
     def test_global_model_round_trip(self, global_model, trace, tmp_path):
         registry = ModelRegistry(str(tmp_path))
-        registry.save_global_model(global_model, "fleet")
-        assert registry.list_global_models() == ["fleet"]
-        loaded = registry.load_global_model("fleet")
+        service = _warm_service(trace, global_model, 0)
+        service.snapshot(registry, "fleet")
+        service.close()
+        assert registry.load_manifest("fleet")["has_global_model"]
+        restored = PredictionService.restore(registry, "fleet")
+        restored.close()
+        loaded = restored.stage.global_model
         record = trace[0]
         want = global_model.predict(record.plan, trace.instance)
         got = loaded.predict(record.plan, trace.instance)
@@ -476,7 +471,7 @@ class TestModelRegistry:
 
         service = _warm_service(trace, global_model, n_warm, max_batch_size=8)
         service.snapshot(registry, "warm")
-        assert registry.list_service_snapshots() == ["warm"]
+        assert registry.list_snapshots() == ["warm"]
         want = _held_out_predictions(service, held)
         want_stats = service.stats()["stage"]
         service.close()
@@ -534,7 +529,7 @@ class TestModelRegistry:
             for round_index in range(3):
                 name = f"live-{round_index}"
                 service.snapshot(registry, name)
-                restored = registry.load_service(name)
+                restored = PredictionService.restore(registry, name)
                 # the restored copy serves immediately
                 assert restored.predict(trace[0], timeout=60).exec_time >= 0.0
                 restored.close()
@@ -552,20 +547,22 @@ class TestModelRegistry:
         import os
 
         assert not os.path.exists(os.path.join(path, "global.npz"))
-        restored = registry.load_service("local-only")
+        assert not registry.load_manifest("local-only")["has_global_model"]
+        restored = PredictionService.restore(registry, "local-only")
         assert restored.stage.global_model is None
         restored.close()
 
     def test_unsupported_snapshot_version_rejected(self, trace, tmp_path):
         registry = ModelRegistry(str(tmp_path))
         service = _warm_service(trace, None, 10, max_batch_size=4)
-        path = service.snapshot(registry, "v-test")
+        service.snapshot(registry, "v-test")
         service.close()
         import os
 
-        state_path = os.path.join(path, "state.pkl")
+        member = registry.member_path("v-test", trace.instance.instance_id)
+        state_path = os.path.join(member, "state.pkl")
         payload = pickle.load(open(state_path, "rb"))
         payload["format_version"] = 999
         pickle.dump(payload, open(state_path, "wb"))
         with pytest.raises(ValueError, match="version"):
-            registry.load_service("v-test")
+            PredictionService.restore(registry, "v-test")

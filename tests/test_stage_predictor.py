@@ -159,6 +159,9 @@ class _FixedGlobal:
         self.calls += 1
         return Prediction(exec_time=self.value, source=PredictionSource.GLOBAL)
 
+    def predict_many(self, plans, instance, n_concurrent=0.0):
+        return [self.predict(plan, instance, n_concurrent) for plan in plans]
+
     def byte_size(self):
         return 123
 

@@ -139,12 +139,6 @@ class TestSocketParity:
         via = replay_instance(traces[0], config=fast_profile(), backend=socket_backend(3, 3))
         assert_replays_identical(direct_replays[0], via)
 
-    def test_via_socket_rejects_per_query_mode(self, traces):
-        with pytest.raises(ValueError, match="batched"):
-            make_sweeper(
-                backend=socket_backend(), component_inference="per_query"
-            ).replay_traces(traces)
-
 
 # every registered scenario must replay over the socket bit-identically;
 # shard and connection counts rotate through the grid as in test_gateway
