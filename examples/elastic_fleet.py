@@ -54,8 +54,8 @@ def main() -> None:
             thread.start()
 
         # 3. Reshard while the streams are in flight.  Each migration
-        #    quiesces the instance on its source shard, hands its state
-        #    over through a snapshot, buffers the tail of its stream,
+        #    quiesces the instance on its source shard, ships its state
+        #    bytes to the target shard, buffers the tail of its stream,
         #    and atomically flips the routing-table entry.
         hot = traces[0].instance.instance_id
         source = gateway.routes()["assignments"][hot]

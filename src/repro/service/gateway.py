@@ -40,18 +40,24 @@ Architecture
   ``enqueue_timeout_s``.  Envelope boundaries are invisible: every
   instance op carries its explicit sequence number and the shard-side
   scheduler reorders by sequence, so packing never affects results.
+- **One way in, one way out.** An instance enters a shard only by an
+  *import* of :func:`~repro.service.registry.encode_state` bytes (plus
+  the sequence number its op stream resumes at) and leaves only by an
+  *export*, which drains the instance through a cut sequence number,
+  pauses its scheduler and returns the quiesced predictor's bytes.
+  Registration imports a fresh predictor built in the parent, restore
+  imports a snapshot's member bytes, snapshot exports every instance,
+  and migration is an export, a release and an import.  Shard
+  processes never touch the filesystem.
 - **Live migration.** :meth:`migrate_instance` moves one instance
   between shards under traffic with a *cut-sequence* protocol: the
   instance's next unclaimed sequence number becomes the cut; ops below
-  it keep flowing to the source shard (whose scheduler drains through
-  the cut, then encodes the quiesced predictor to bytes with
-  :func:`~repro.service.registry.encode_state`, the format a
-  snapshot's member files hold), ops at-or-above it buffer at the
-  gateway.  The bytes travel in-band — source to parent to target over
-  the shard queues, never through the filesystem — then the routing
-  entry cuts over atomically and the buffer flushes to the target.  No
-  sequence gap ever opens, so migration placement is invisible in
-  results.
+  it keep flowing to the source shard, which exports the instance at
+  the cut, while ops at-or-above it buffer at the gateway.  The bytes
+  travel source to parent to target over the shard queues, then the
+  routing entry cuts over atomically and the buffer flushes to the
+  target.  No sequence gap ever opens, so migration placement is
+  invisible in results.
 - **Determinism contract** (the PR 3/4 contract, lifted to the fleet):
   results depend only on each instance's sequenced op stream — never on
   shard count, shard assignment, client threading, queue bounds or
@@ -64,14 +70,14 @@ Architecture
   shard's in-flight futures with :class:`ShardCrashedError` (carrying
   the instance id); other shards keep serving, and :meth:`close` still
   drains and joins cleanly.
-- **Snapshot/restore.** :meth:`snapshot` quiesces the fleet and writes
-  one :class:`~repro.service.ModelRegistry` snapshot: each shard saves
-  its members' states, the parent writes the fleet-shared global model
-  once plus a single manifest spanning all shards.  Because shard
-  assignment never affects results, :meth:`restore` rebuilds the fleet
-  bit-for-bit under *any* shard count, and a
-  :class:`~repro.service.PredictionService` snapshot (one member)
-  restores as a fleet too.
+- **Snapshot/restore.** :meth:`snapshot` exports every instance at its
+  claimed sequence number and the parent writes one
+  :class:`~repro.service.ModelRegistry` snapshot — the members, the
+  fleet-shared global model once, and a single manifest — whole or not
+  at all.  Because shard assignment never affects results,
+  :meth:`restore` rebuilds the fleet bit-for-bit under *any* shard
+  count, and a :class:`~repro.service.PredictionService` snapshot (one
+  member) restores as a fleet too.
 """
 
 from __future__ import annotations
@@ -86,6 +92,7 @@ from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import GatewayConfig, ServiceConfig, StageConfig
+from repro.core.stage import StagePredictor
 from repro.global_model.model import GlobalModel
 from repro.ml.intervals import (
     merge_width_bins,
@@ -164,14 +171,11 @@ class GatewayBackpressureError(TimeoutError):
 # shard worker process
 # ---------------------------------------------------------------------------
 #: control op kinds (instance ops reuse the scheduler's PREDICT/OBSERVE)
-_REGISTER = "register"
 _DRAIN = "drain"
 _STATS = "stats"
-_SNAPSHOT = "snapshot"
-_RESTORE = "restore"
-_DETACH = "detach"  # migration: drain through the cut, encode the state
-_RELEASE = "release"  # migration: drop the detached instance's service
-_ATTACH = "attach"  # migration: decode the shipped state, resume at the cut
+_EXPORT = "export"  # drain through a cut, return the state bytes
+_IMPORT = "import"  # serve shipped state bytes, resuming at their cut
+_RELEASE = "release"  # migration: drop the exported instance's service
 _SLEEP = "sleep"  # fault-injection/backpressure test hook: hold the shard busy
 _SHUTDOWN = "shutdown"
 
@@ -184,9 +188,7 @@ class _ShardInit:
     """Everything a shard worker needs, shipped once at process start
     (the fleet-shared global model rides here, never per-op)."""
 
-    stage_config: Optional[StageConfig]
     service_config: ServiceConfig
-    random_state: int
     global_model: Optional[GlobalModel]
 
 
@@ -325,6 +327,12 @@ class _ResponseOutbox(_Outbox):
         self._flush()  # ships what is left; returns at once when dry
 
 
+def _fresh_handoff(state: bytes, artifact: str) -> dict:
+    """An :data:`_IMPORT` payload for state whose op stream starts at
+    sequence 0; ``artifact`` names it in decode errors."""
+    return {"state": state, "next_seq": 0, "scheduler_stats": {}, "artifact": artifact}
+
+
 def _relay_response(outbox: _ResponseOutbox, op_id: int, future: Future) -> None:
     """Done-callback bridging a service future back to the parent."""
     exc = future.exception()
@@ -379,56 +387,23 @@ def _apply_shard_op(
             future = service.scheduler.submit(kind, record, seq=seq)
             future.add_done_callback(partial(_relay_response, outbox, op_id))
             return True
-        if kind == _REGISTER:
-            (instance,) = payload
-            if instance.instance_id in served:
-                raise ValueError(f"instance {instance.instance_id!r} already registered")
-            served[instance.instance_id] = PredictionService(
-                instance,
-                global_model=init.global_model,
-                stage_config=init.stage_config,
-                service_config=init.service_config,
-                random_state=init.random_state,
-            )
-            result = instance.instance_id
-        elif kind == _DRAIN:
+        if kind == _DRAIN:
             for service in served.values():
                 service.drain()
             result = len(served)
         elif kind == _STATS:
             result = {iid: service.stats() for iid, service in served.items()}
-        elif kind == _SNAPSHOT:
-            registry_root, name = payload
-            registry = ModelRegistry(registry_root)
-            result = []
-            for instance_id in sorted(served):
-                service = served[instance_id]
-                service.drain()
-                with service.scheduler.paused():
-                    registry.save_member(service.stage, name)
-                result.append(instance_id)
-        elif kind == _RESTORE:
-            registry_root, name, instance_ids = payload
-            registry = ModelRegistry(registry_root)
-            for instance_id in instance_ids:
-                if instance_id in served:
-                    raise ValueError(f"instance {instance_id!r} already registered")
-                stage = registry.load_member(name, instance_id, global_model=init.global_model)
-                served[instance_id] = PredictionService.from_stage(
-                    stage, service_config=init.service_config
-                )
-            result = list(instance_ids)
-        elif kind == _DETACH:
-            # Migration source side.  Stragglers below the cut are
-            # still flowing through this loop, so the drain must not
-            # block it: a side thread waits out the prefix, pauses the
-            # scheduler, encodes the quiesced predictor to bytes (never
-            # the live object: the response is pickled later, on
-            # whichever thread flushes it) and answers the op itself.
+        elif kind == _EXPORT:
+            # Stragglers below the cut are still flowing through this
+            # loop, so the drain must not block it: a side thread waits
+            # out the prefix, pauses the scheduler, encodes the quiesced
+            # predictor to bytes (never the live object: the response is
+            # pickled later, on whichever thread flushes it) and answers
+            # the op itself.  The instance keeps serving afterwards.
             instance_id, cut_seq = payload
             service = served[instance_id]
 
-            def _detach(op_id=op_id, service=service, cut_seq=cut_seq):
+            def _export(op_id=op_id, service=service, cut_seq=cut_seq):
                 try:
                     service.scheduler.drain_through(cut_seq)
                     with service.scheduler.paused():
@@ -442,30 +417,26 @@ def _apply_shard_op(
                     outbox.put((op_id, _ERR, exc))
 
             threading.Thread(
-                target=_detach,
-                name=f"gateway-shard-{shard_index}-detach-{instance_id}",
+                target=_export,
+                name=f"gateway-shard-{shard_index}-export-{instance_id}",
                 daemon=True,
             ).start()
             return True
+        elif kind == _IMPORT:
+            instance_id, handoff = payload
+            if instance_id in served:
+                raise ValueError(f"instance {instance_id!r} already registered")
+            stage = decode_state(handoff["state"], init.global_model, handoff["artifact"])
+            service = PredictionService.from_stage(stage, service_config=init.service_config)
+            # resume exactly at the cut: the prefix ran elsewhere
+            service.scheduler.advance_to_seq(handoff["next_seq"])
+            service.scheduler.stats.update(handoff["scheduler_stats"])
+            served[instance_id] = service
+            result = instance_id
         elif kind == _RELEASE:
             (instance_id,) = payload
             service = served.pop(instance_id)
             service.close()
-            result = instance_id
-        elif kind == _ATTACH:
-            instance_id, handoff = payload
-            if instance_id in served:
-                raise ValueError(f"instance {instance_id!r} already registered")
-            stage = decode_state(
-                handoff["state"], init.global_model, f"migration state of {instance_id!r}"
-            )
-            service = PredictionService.from_stage(
-                stage, service_config=init.service_config
-            )
-            # resume exactly at the cut: the prefix ran on the source
-            service.scheduler.advance_to_seq(handoff["next_seq"])
-            service.scheduler.stats.update(handoff["scheduler_stats"])
-            served[instance_id] = service
             result = instance_id
         elif kind == _SLEEP:
             (seconds,) = payload
@@ -602,12 +573,7 @@ class FleetGateway:
         self._resize_lock = threading.RLock()
 
         self._ctx = pool_context()
-        self._shard_init = _ShardInit(
-            stage_config=stage_config,
-            service_config=self.config.service,
-            random_state=random_state,
-            global_model=global_model,
-        )
+        self._shard_init = _ShardInit(service_config=self.config.service, global_model=global_model)
         self._shards: List[_Shard] = []
         for index in range(self.config.n_shards):
             self._shards.append(self._build_shard(index))
@@ -916,6 +882,10 @@ class FleetGateway:
         """Create ``instance``'s service on its shard; returns the shard
         index.  Every instance must be registered before its first op.
 
+        The fresh predictor is built here and imported by the shard as
+        :func:`~repro.service.registry.encode_state` bytes, the one way
+        any instance enters a shard.
+
         The routing entry is seeded from :func:`shard_for` under the
         *current* shard count, so an untouched fleet's table is
         byte-identical to the static map.
@@ -928,13 +898,22 @@ class FleetGateway:
                 if instance_id in self._instances:
                     raise ValueError(f"instance {instance_id!r} already registered")
             shard = self._shards[shard_for(instance_id, self.n_shards)]
-            future = self._submit_control(shard, _REGISTER, (instance,))
+            stage = StagePredictor(
+                instance, config=self.stage_config, random_state=self.random_state
+            )
+            handoff = _fresh_handoff(encode_state(stage), f"new state of {instance_id!r}")
+            future = self._submit_control(shard, _IMPORT, (instance_id, handoff))
             future.result(timeout if timeout is not None else self.config.drain_timeout_s)
-            with self._registry_lock:
-                self._instances[instance_id] = shard.index
-                self._instance_seq.setdefault(instance_id, 0)
-                self._instance_locks.setdefault(instance_id, threading.Lock())
+            self._add_route(instance_id, shard.index)
             return shard.index
+
+    def _add_route(self, instance_id: str, shard_index: int) -> None:
+        """Seed the routing entry of an instance a shard just imported;
+        its op stream starts at sequence 0."""
+        with self._registry_lock:
+            self._instances[instance_id] = shard_index
+            self._instance_seq[instance_id] = 0
+            self._instance_locks[instance_id] = threading.Lock()
 
     def routes(self) -> dict:
         """The live routing table: version, shard count, assignments.
@@ -1046,9 +1025,10 @@ class FleetGateway:
             migration = _Migration(instance_id, cut_seq)
             self._migrations[instance_id] = migration
         try:
-            handoff = self._submit_control(source, _DETACH, (instance_id, cut_seq)).result(timeout)
+            handoff = self._submit_control(source, _EXPORT, (instance_id, cut_seq)).result(timeout)
+            handoff["artifact"] = f"migration state of {instance_id!r}"
             self._submit_control(source, _RELEASE, (instance_id,)).result(timeout)
-            self._submit_control(target, _ATTACH, (instance_id, handoff)).result(timeout)
+            self._submit_control(target, _IMPORT, (instance_id, handoff)).result(timeout)
         except BaseException:
             self._abort_migration(migration)
             raise
@@ -1334,13 +1314,16 @@ class FleetGateway:
     # persistence (whole-fleet warm restart)
     # ------------------------------------------------------------------
     def snapshot(self, registry: ModelRegistry, name: str) -> str:
-        """Drain, then persist the whole fleet under ``name``.
+        """Persist the whole fleet under ``name``; returns its path.
 
-        Each shard saves the member states it owns; the parent writes
-        the fleet-shared global model once and the single manifest
-        spanning all shards.  A crashed shard makes the snapshot fail
-        explicitly (its members' states cannot be captured), and so does
-        an in-flight migration (its instance's state is mid-handoff).
+        Each instance is exported at its claimed sequence number (read
+        under its submit lock, as a migration reads its cut), so every
+        member is a consistent op-stream prefix even under traffic; the
+        parent then writes the members, the fleet-shared global model
+        and the manifest in one :meth:`ModelRegistry.save`.  A crashed
+        shard makes the snapshot fail explicitly (its members' states
+        cannot be captured), and so does an in-flight migration (its
+        instance's state is mid-handoff); either way nothing is written.
         """
         with self._resize_lock:
             migrating = sorted(self._migrations)
@@ -1355,28 +1338,23 @@ class FleetGateway:
                 if self._shards[index].crashed
             )
             if stranded:
-                # fail before any member write: a partial save under an
-                # existing name would mix snapshot epochs on disk
                 raise RuntimeError(
                     f"cannot snapshot fleet {name!r}: instances {stranded} "
                     "live on crashed shards (their state is unrecoverable)"
                 )
-            self.drain()
-            futures = [
-                self._submit_control(shard, _SNAPSHOT, (registry.root, name))
-                for shard in self._live_shards()
-            ]
-            saved: List[str] = []
-            for future in futures:
-                saved.extend(future.result(self.config.drain_timeout_s))
-            missing = sorted(set(self._instances) - set(saved))
-            if missing:
-                # the manifest is what makes a snapshot restorable — never
-                # write it over stale member state from an earlier snapshot
-                raise RuntimeError(f"fleet snapshot {name!r} missed instances {missing}")
-            return registry.save_manifest(
-                name, sorted(self._instances), self.n_shards, global_model=self.global_model
-            )
+            exports = []
+            for instance_id in self.instance_ids:
+                with self._instance_lock(instance_id):
+                    shard = self._shards[self._instances[instance_id]]
+                    cut_seq = self._instance_seq[instance_id]
+                exports.append(
+                    (instance_id, self._submit_control(shard, _EXPORT, (instance_id, cut_seq)))
+                )
+            states = {
+                instance_id: future.result(self.config.drain_timeout_s)["state"]
+                for instance_id, future in exports
+            }
+            return registry.save(name, states, self.n_shards, global_model=self.global_model)
 
     @classmethod
     def restore(
@@ -1391,8 +1369,9 @@ class FleetGateway:
 
         The manifest's recorded shard count is provenance only; the new
         gateway re-routes every instance with :func:`shard_for` under its
-        own ``config.n_shards`` and each shard loads the member states it
-        now owns.  Warm restart is bit-for-bit, retrains included.
+        own ``config.n_shards``, reads each member's state bytes and
+        ships them to the shard that now owns it.  Warm restart is
+        bit-for-bit, retrains included.
         """
         manifest = registry.load_manifest(name)
         global_model = registry.load_global(name) if manifest["has_global_model"] else None
@@ -1403,28 +1382,18 @@ class FleetGateway:
             random_state=random_state,
         )
         try:
-            by_shard: Dict[int, List[str]] = {}
+            imports = []
             for instance_id in manifest["instances"]:
-                by_shard.setdefault(shard_for(instance_id, gateway.n_shards), []).append(
-                    instance_id
+                shard = gateway._shards[shard_for(instance_id, gateway.n_shards)]
+                member = f"{name}/{instance_id}"
+                handoff = _fresh_handoff(
+                    registry.load_state(name, instance_id), f"snapshot member {member!r}"
                 )
-            futures = [
-                (
-                    index,
-                    ids,
-                    gateway._submit_control(
-                        gateway._shards[index], _RESTORE, (registry.root, name, ids)
-                    ),
-                )
-                for index, ids in sorted(by_shard.items())
-            ]
-            for index, ids, future in futures:
+                future = gateway._submit_control(shard, _IMPORT, (instance_id, handoff))
+                imports.append((instance_id, shard.index, future))
+            for instance_id, shard_index, future in imports:
                 future.result(gateway.config.drain_timeout_s)
-                with gateway._registry_lock:
-                    for instance_id in ids:
-                        gateway._instances[instance_id] = index
-                        gateway._instance_seq[instance_id] = 0
-                        gateway._instance_locks[instance_id] = threading.Lock()
+                gateway._add_route(instance_id, shard_index)
         except BaseException:
             gateway.close()
             raise

@@ -14,14 +14,21 @@ keeps.  A snapshot holds:
   contents and counters, local ensemble + training pool, running-median
   default, routing counters), exactly the bytes of :func:`encode_state`.
 
-A :class:`~repro.service.PredictionService` snapshot is a one-instance
-snapshot; a :class:`~repro.service.FleetGateway` snapshot has one member
-per instance, each written by the shard that owns it.  Because shard
+Only the process that owns a serving tier touches a registry (a
+gateway's parent, never a shard worker): it gathers every member's
+:func:`encode_state` bytes first and hands them to
+:meth:`ModelRegistry.save`, which writes the whole snapshot into a
+hidden staging directory and renames it over the name, so a snapshot is
+whole or absent — a save that fails part-way leaves the previous one
+under that name untouched.  A :class:`~repro.service.PredictionService`
+snapshot is a one-instance snapshot; a
+:class:`~repro.service.FleetGateway` snapshot has one member per
+instance, exported from the shard that owns it.  Because shard
 assignment never affects results, either restores as either: a service
 snapshot restores as a gateway under any shard count, and a
 one-instance gateway snapshot restores as a service.  A live migration
-ships the same :func:`encode_state` bytes in-band from the source shard
-to the target, so it needs no registry at all.
+ships the same :func:`encode_state` bytes from the source shard to the
+target, so it needs no registry at all.
 
 The snapshot contract is *bit-for-bit warm restart*: a restored tier
 produces exactly the predictions the snapshotted one would have
@@ -38,8 +45,10 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import shutil
+import uuid
 import zipfile
-from typing import List, Optional, Sequence
+from typing import List, Mapping, Optional
 
 from repro.core.stage import StagePredictor
 from repro.global_model.model import GlobalModel
@@ -92,7 +101,7 @@ def decode_state(
 
 
 class ModelRegistry:
-    """Directory-backed store of service and fleet snapshots."""
+    """Directory-backed store of snapshots."""
 
     def __init__(self, root: str):
         self.root = root
@@ -112,78 +121,75 @@ class ModelRegistry:
     def snapshot_path(self, name: str) -> str:
         return os.path.join(self.root, name)
 
-    def member_path(self, name: str, instance_id: str) -> str:
-        return os.path.join(self.snapshot_path(name), _INSTANCES_DIR, instance_id)
-
     def list_snapshots(self) -> List[str]:
-        return sorted(d for d in os.listdir(self.root) if os.path.isdir(os.path.join(self.root, d)))
+        """Every whole snapshot; hidden (staging) directories are skipped."""
+        return sorted(
+            d
+            for d in os.listdir(self.root)
+            if not d.startswith(".") and os.path.isdir(os.path.join(self.root, d))
+        )
 
-    def save_member(self, stage: StagePredictor, name: str) -> str:
-        """Write one quiesced per-instance predictor into snapshot ``name``.
-
-        A gateway calls this from *inside* each shard worker process for
-        the instances it owns.  The fleet-shared global model is always
-        detached — it is written exactly once, by :meth:`save_manifest`
-        — so a thousand-instance fleet never stores a thousand copies of
-        the same ``.npz``.
-        """
-        path = self.member_path(name, stage.instance.instance_id)
-        os.makedirs(path, exist_ok=True)
-        with open(os.path.join(path, _STATE_FILE), "wb") as f:
-            f.write(encode_state(stage))
-        return path
-
-    def load_member(
+    def save(
         self,
         name: str,
-        instance_id: str,
-        global_model: Optional[GlobalModel] = None,
-    ) -> StagePredictor:
-        """Load one member predictor, re-attaching the shared model."""
-        member = f"{name}/{instance_id}"
-        state_path = os.path.join(self.member_path(name, instance_id), _STATE_FILE)
-        instances_dir = os.path.join(self.snapshot_path(name), _INSTANCES_DIR)
-        available = sorted(os.listdir(instances_dir)) if os.path.isdir(instances_dir) else []
-        self._require(state_path, "snapshot member", member, available)
-        with open(state_path, "rb") as f:
-            data = f.read()
-        return decode_state(data, global_model, f"snapshot member {member!r} ({state_path})")
-
-    def save_manifest(
-        self,
-        name: str,
-        instance_ids: Sequence[str],
+        states: Mapping[str, bytes],
         n_shards: int,
         global_model: Optional[GlobalModel] = None,
     ) -> str:
-        """Write the one manifest spanning every member (plus the shared
-        model, once); returns the snapshot's path.  ``n_shards`` is
+        """Write snapshot ``name`` whole; returns its path.
+
+        ``states`` maps each instance id to its :func:`encode_state`
+        bytes; the fleet-shared model is written once.  ``n_shards`` is
         recorded as provenance only — the determinism contract lets a
-        snapshot restore under any shard count — and the member states
-        must already be on disk (the gateway sequences per-shard member
-        saves before this call).
+        snapshot restore under any shard count.  Everything is written
+        into a hidden staging directory that then replaces the old
+        snapshot of that name, so a save that fails part-way leaves the
+        previous snapshot untouched and one that succeeds leaves no
+        member of it behind.
         """
         path = self.snapshot_path(name)
-        os.makedirs(path, exist_ok=True)
-        if global_model is not None:
-            save_global_model(global_model, os.path.join(path, _GLOBAL_FILE))
-        missing = [
-            instance_id
-            for instance_id in instance_ids
-            if not os.path.exists(os.path.join(self.member_path(name, instance_id), _STATE_FILE))
-        ]
-        if missing:
-            raise ValueError(f"snapshot {name!r} is missing member state for {missing}")
-        manifest = {
-            "format_version": _FORMAT_VERSION,
-            "n_shards": int(n_shards),
-            "has_global_model": global_model is not None,
-            "instances": sorted(instance_ids),
-        }
-        with open(os.path.join(path, _MANIFEST_FILE), "w") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
+        staging = os.path.join(self.root, f".{name}.{uuid.uuid4().hex}")
+        try:
+            os.makedirs(os.path.join(staging, _INSTANCES_DIR))
+            for instance_id, data in states.items():
+                member = os.path.join(staging, _INSTANCES_DIR, instance_id)
+                os.mkdir(member)
+                with open(os.path.join(member, _STATE_FILE), "wb") as f:
+                    f.write(data)
+            if global_model is not None:
+                save_global_model(global_model, os.path.join(staging, _GLOBAL_FILE))
+            manifest = {
+                "format_version": _FORMAT_VERSION,
+                "n_shards": int(n_shards),
+                "has_global_model": global_model is not None,
+                "instances": sorted(states),
+            }
+            with open(os.path.join(staging, _MANIFEST_FILE), "w") as f:
+                json.dump(manifest, f, indent=2, sort_keys=True)
+                f.write("\n")
+            # a directory cannot be renamed over a non-empty one: move
+            # the old snapshot aside first, then drop it
+            retired = None
+            if os.path.exists(path):
+                retired = os.path.join(self.root, f".{name}.{uuid.uuid4().hex}")
+                os.rename(path, retired)
+            os.rename(staging, path)
+        except BaseException:
+            shutil.rmtree(staging, ignore_errors=True)
+            raise
+        if retired is not None:
+            shutil.rmtree(retired, ignore_errors=True)
         return path
+
+    def load_state(self, name: str, instance_id: str) -> bytes:
+        """One member's :func:`encode_state` bytes."""
+        member = f"{name}/{instance_id}"
+        instances_dir = os.path.join(self.snapshot_path(name), _INSTANCES_DIR)
+        state_path = os.path.join(instances_dir, instance_id, _STATE_FILE)
+        available = sorted(os.listdir(instances_dir)) if os.path.isdir(instances_dir) else []
+        self._require(state_path, "snapshot member", member, available)
+        with open(state_path, "rb") as f:
+            return f.read()
 
     def load_manifest(self, name: str) -> dict:
         path = os.path.join(self.snapshot_path(name), _MANIFEST_FILE)

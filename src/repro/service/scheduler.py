@@ -67,11 +67,8 @@ class MicroBatchScheduler:
 
     def __init__(self, router: BatchRouter, config: Optional[ServiceConfig] = None):
         self.router = router
+        # ServiceConfig.__post_init__ validates the knobs
         self.config = config or ServiceConfig()
-        if self.config.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if self.config.max_batch_latency_ms < 0:
-            raise ValueError("max_batch_latency_ms must be >= 0")
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
         #: reorder buffer: sequence number -> queued op

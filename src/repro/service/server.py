@@ -36,7 +36,7 @@ from repro.global_model.model import GlobalModel
 from repro.workload.instance import InstanceProfile
 from repro.workload.query import QueryRecord
 
-from .registry import ModelRegistry
+from .registry import ModelRegistry, decode_state, encode_state
 from .scheduler import OBSERVE, PREDICT, MicroBatchScheduler
 
 __all__ = ["PredictionService"]
@@ -205,9 +205,9 @@ class PredictionService:
         """
         self.drain()
         with self.scheduler.paused():
-            registry.save_member(self.stage, name)
-        return registry.save_manifest(
-            name, [self.instance_id], n_shards=1, global_model=self.stage.global_model
+            state = encode_state(self.stage)
+        return registry.save(
+            name, {self.instance_id: state}, n_shards=1, global_model=self.stage.global_model
         )
 
     @classmethod
@@ -231,7 +231,12 @@ class PredictionService:
                 "a PredictionService restores exactly one"
             )
         global_model = registry.load_global(name) if manifest["has_global_model"] else None
-        stage = registry.load_member(name, instance_ids[0], global_model=global_model)
+        member = f"{name}/{instance_ids[0]}"
+        stage = decode_state(
+            registry.load_state(name, instance_ids[0]),
+            global_model,
+            f"snapshot member {member!r}",
+        )
         return cls.from_stage(stage, service_config=service_config)
 
     # ------------------------------------------------------------------

@@ -18,8 +18,8 @@ from dataclasses import replace
 
 import pytest
 
-# shared parity helper lives with the service suite (one definition)
-from test_service import assert_replays_identical
+# the one replay-parity check every parity suite shares
+from replay_parity import assert_replays_identical
 
 from repro.core.config import (
     CacheConfig,

@@ -21,8 +21,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-# shared parity and warm-restart helpers live with the service suite
-from test_service import _held_out_predictions, _warm_service, assert_replays_identical
+from replay_parity import assert_replays_identical
+
+# the warm-restart helpers live with the service suite
+from test_service import _held_out_predictions, _warm_service
 
 from repro.core.config import (
     GatewayConfig,
@@ -365,10 +367,36 @@ class TestFleetSnapshot:
         assert got == want
         assert got_stats == want_stats
 
-    def test_manifest_missing_member_rejected(self, traces, tmp_path):
+    def test_truncated_member_fails_restore_and_closes_the_gateway(
+        self, traces, tmp_path, monkeypatch
+    ):
+        """A member's bytes are decoded by the shard that imports them;
+        the shard's error names the member, and restore closes the
+        half-built gateway (no shard process outlives the failure)."""
         registry = ModelRegistry(str(tmp_path))
-        with pytest.raises(ValueError, match="missing member state"):
-            registry.save_manifest("broken", ["inst-9999"], n_shards=1)
+        gateway = _warm_gateway(traces, n_shards=2)
+        gateway.snapshot(registry, "warm")
+        gateway.close()
+        states = {
+            trace.instance.instance_id: registry.load_state("warm", trace.instance.instance_id)
+            for trace in traces
+        }
+        victim = traces[1].instance.instance_id
+        states[victim] = states[victim][: len(states[victim]) // 2]
+        registry.save("warm", states, n_shards=2)
+
+        built = []
+        close = FleetGateway.close
+
+        def spy_close(self, timeout=None):
+            built.append(self)
+            close(self, timeout)
+
+        monkeypatch.setattr(FleetGateway, "close", spy_close)
+        with pytest.raises(ValueError, match=f"snapshot member 'warm/{victim}' is corrupt"):
+            FleetGateway.restore(registry, "warm", config=GatewayConfig(n_shards=2))
+        assert len(built) == 1 and built[0].closed
+        assert not any(shard.process.is_alive() for shard in built[0]._shards)
 
     def test_unsupported_fleet_version_rejected(self, traces, tmp_path):
         import json

@@ -24,39 +24,7 @@ from repro.harness import (
 from repro.harness.replay import assemble_replay
 from repro.workload import FleetConfig, FleetGenerator
 
-#: every per-query array an InstanceReplay carries
-ARRAY_ATTRS = (
-    "true",
-    "arrival",
-    "kind",
-    "stage_pred",
-    "stage_source",
-    "autowlm_pred",
-    "cache_pred",
-    "local_pred",
-    "local_std",
-    "global_pred",
-    "uncertain",
-    "stage_interval_low",
-    "stage_interval_high",
-    "cache_interval_low",
-    "cache_interval_high",
-    "local_interval_low",
-    "local_interval_high",
-    "global_interval_low",
-    "global_interval_high",
-)
-
-
-def assert_replays_identical(a, b):
-    assert a.instance_id == b.instance_id
-    for attr in ARRAY_ATTRS:
-        x, y = getattr(a, attr), getattr(b, attr)
-        if x.dtype.kind == "f":
-            assert np.array_equal(x, y, equal_nan=True), attr
-        else:
-            assert np.array_equal(x, y), attr
-    assert a.stage_stats == b.stage_stats
+from replay_parity import assert_replays_identical
 
 
 def replay_per_query(trace, config):

@@ -57,10 +57,14 @@ def _tiny_global_model() -> GlobalModel:
 
 def _save_snapshot(registry, stage, name, global_model=None):
     """A one-instance snapshot, written the way every tier writes one."""
-    registry.save_member(stage, name)
-    return registry.save_manifest(
-        name, [stage.instance.instance_id], n_shards=1, global_model=global_model
+    return registry.save(
+        name, {stage.instance.instance_id: encode_state(stage)}, 1, global_model=global_model
     )
+
+
+def _state_path(registry, name, instance_id):
+    """Where a snapshot keeps one member's state bytes on disk."""
+    return os.path.join(registry.snapshot_path(name), "instances", instance_id, "state.pkl")
 
 
 def _snapshot_service(registry, stage, name):
@@ -95,7 +99,7 @@ class TestMissingArtifacts:
     def test_missing_fleet_member_lists_available(self, registry, instance):
         _save_snapshot(registry, StagePredictor(instance, config=fast_profile()), "fleet-a")
         with pytest.raises(FileNotFoundError) as excinfo:
-            registry.load_member("fleet-a", "no-such-instance")
+            registry.load_state("fleet-a", "no-such-instance")
         assert instance.instance_id in str(excinfo.value)
 
     def test_missing_fleet_global(self, registry):
@@ -107,11 +111,11 @@ class TestCorruptArtifacts:
     def test_truncated_state_pickle(self, registry, instance):
         stage = StagePredictor(instance, config=fast_profile())
         _snapshot_service(registry, stage, "snap")
-        state_path = os.path.join(registry.member_path("snap", instance.instance_id), "state.pkl")
+        state_path = _state_path(registry, "snap", instance.instance_id)
         data = open(state_path, "rb").read()
         with open(state_path, "wb") as f:
             f.write(data[: len(data) // 2])
-        with pytest.raises(ValueError, match="corrupt or truncated"):
+        with pytest.raises(ValueError, match="snapshot member 'snap/.*' is corrupt or truncated"):
             PredictionService.restore(registry, "snap")
 
     def test_truncated_global_npz(self, registry, instance):
@@ -127,7 +131,7 @@ class TestCorruptArtifacts:
     def test_garbage_state_pickle(self, registry, instance):
         stage = StagePredictor(instance, config=fast_profile())
         _snapshot_service(registry, stage, "snap")
-        state_path = os.path.join(registry.member_path("snap", instance.instance_id), "state.pkl")
+        state_path = _state_path(registry, "snap", instance.instance_id)
         with open(state_path, "wb") as f:
             f.write(b"this is not a pickle")
         with pytest.raises(ValueError, match="corrupt or truncated"):
@@ -142,14 +146,13 @@ class TestCorruptArtifacts:
 
     def test_truncated_fleet_member_pickle(self, registry, instance):
         stage = StagePredictor(instance, config=fast_profile())
-        path = registry.save_member(stage, "fleet-c")
-        registry.save_manifest("fleet-c", [instance.instance_id], n_shards=1)
-        state_path = os.path.join(path, "state.pkl")
+        _save_snapshot(registry, stage, "fleet-c")
+        state_path = _state_path(registry, "fleet-c", instance.instance_id)
         data = open(state_path, "rb").read()
         with open(state_path, "wb") as f:
             f.write(data[: len(data) // 2])
         with pytest.raises(ValueError, match="corrupt or truncated"):
-            registry.load_member("fleet-c", instance.instance_id)
+            decode_state(registry.load_state("fleet-c", instance.instance_id))
 
 
 class TestHappyPathStillWorks:
@@ -238,7 +241,57 @@ class TestInstanceStates:
 
     def test_fleet_member_file_holds_the_state_bytes(self, registry, instance):
         stage = StagePredictor(instance, config=fast_profile())
-        path = registry.save_member(stage, "fleet-d")
-        with open(os.path.join(path, "state.pkl"), "rb") as f:
+        _save_snapshot(registry, stage, "fleet-d")
+        with open(_state_path(registry, "fleet-d", instance.instance_id), "rb") as f:
             assert f.read() == encode_state(stage)
+        assert registry.load_state("fleet-d", instance.instance_id) == encode_state(stage)
         assert registry.list_snapshots() == ["fleet-d"]
+
+
+# ---------------------------------------------------------------------------
+# a snapshot is whole or absent
+# ---------------------------------------------------------------------------
+class TestWholeOrAbsent:
+    def test_resnapshot_keeps_only_the_listed_members(self, registry):
+        gen = FleetGenerator(FleetConfig(seed=5, volume_scale=0.1))
+        stages = [StagePredictor(gen.sample_instance(i), config=fast_profile()) for i in (0, 1)]
+        kept, dropped = (stage.instance.instance_id for stage in stages)
+        registry.save("snap", {s.instance.instance_id: encode_state(s) for s in stages}, 2)
+
+        path = _snapshot_service(registry, stages[0], "snap")
+        assert registry.load_manifest("snap")["instances"] == [kept]
+        assert os.listdir(os.path.join(path, "instances")) == [kept]
+        with pytest.raises(FileNotFoundError, match=f"'snap/{dropped}'"):
+            registry.load_state("snap", dropped)
+        assert registry.list_snapshots() == ["snap"]
+
+    def test_failed_save_leaves_the_previous_snapshot_whole(self, registry, monkeypatch):
+        import repro.service.registry as registry_module
+
+        instance, trace = _instance_trace()
+        n_warm = len(trace) // 2
+        stage = StagePredictor(instance, config=fast_profile(), random_state=0)
+        _replay_segment(stage, trace, 0, n_warm)
+        _snapshot_service(registry, stage, "snap")
+        before = registry.load_state("snap", instance.instance_id)
+        want = _replay_segment(decode_state(before), trace, n_warm, len(trace))
+
+        # the next epoch: more ops applied, a global model attached, and
+        # the global-model write fails after the member was written
+        _replay_segment(stage, trace, n_warm, n_warm + 20)
+        stage.global_model = _tiny_global_model()
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(registry_module, "save_global_model", fail)
+        with pytest.raises(OSError, match="disk full"):
+            _snapshot_service(registry, stage, "snap")
+
+        assert registry.list_snapshots() == ["snap"]
+        assert os.listdir(registry.root) == ["snap"]  # the staging directory is gone
+        assert registry.load_state("snap", instance.instance_id) == before
+        assert not registry.load_manifest("snap")["has_global_model"]
+        restored = PredictionService.restore(registry, "snap")
+        restored.close()
+        assert np.array_equal(_replay_segment(restored.stage, trace, n_warm, len(trace)), want)

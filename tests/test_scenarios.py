@@ -13,10 +13,10 @@ the CLI.
 import numpy as np
 import pytest
 
-# the parity helpers are owned by the service suite (one definition, so
-# a new InstanceReplay array can never be covered in one file and
-# silently skipped in the other); pytest puts tests/ on sys.path
-from test_service import assert_replays_identical
+# one parity definition, so a new InstanceReplay array can never be
+# covered in one suite and silently skipped in another; pytest puts
+# tests/ on sys.path
+from replay_parity import assert_replays_identical
 
 from repro.harness import FleetSweeper, replay_instance
 from repro.scenarios import (

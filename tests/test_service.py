@@ -15,7 +15,6 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
 import pytest
 
 from repro.core.config import GlobalModelConfig, ReplayBackend, ServiceConfig, fast_profile
@@ -31,35 +30,7 @@ from repro.service import (
 )
 from repro.workload import FleetConfig, FleetGenerator
 
-ARRAY_ATTRS = (
-    "true",
-    "arrival",
-    "kind",
-    "stage_pred",
-    "stage_source",
-    "autowlm_pred",
-    "cache_pred",
-    "local_pred",
-    "local_std",
-    "global_pred",
-    "uncertain",
-    "stage_interval_low",
-    "stage_interval_high",
-    "cache_interval_low",
-    "cache_interval_high",
-    "local_interval_low",
-    "local_interval_high",
-    "global_interval_low",
-    "global_interval_high",
-)
-
-
-def assert_replays_identical(a, b):
-    assert a.instance_id == b.instance_id
-    for attr in ARRAY_ATTRS:
-        x, y = getattr(a, attr), getattr(b, attr)
-        assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), attr
-    assert a.stage_stats == b.stage_stats
+from replay_parity import assert_replays_identical
 
 
 @pytest.fixture(scope="module")
@@ -559,8 +530,9 @@ class TestModelRegistry:
         service.close()
         import os
 
-        member = registry.member_path("v-test", trace.instance.instance_id)
-        state_path = os.path.join(member, "state.pkl")
+        state_path = os.path.join(
+            registry.snapshot_path("v-test"), "instances", trace.instance.instance_id, "state.pkl"
+        )
         payload = pickle.load(open(state_path, "rb"))
         payload["format_version"] = 999
         pickle.dump(payload, open(state_path, "wb"))

@@ -27,8 +27,8 @@ import time
 
 import pytest
 
-# shared parity helpers live with the service suite (one definition)
-from test_service import assert_replays_identical
+# the one replay-parity check every parity suite shares
+from replay_parity import assert_replays_identical
 
 from repro.core.config import (
     GatewayConfig,
