@@ -26,6 +26,7 @@ import time
 import numpy as np
 
 from conftest import append_result
+from replay_parity import assert_replays_identical
 
 from repro.core.config import (
     CacheConfig,
@@ -37,27 +38,6 @@ from repro.core.config import (
 from repro.global_model import GlobalModelTrainer
 from repro.harness import FleetSweeper
 from repro.workload import FleetConfig, FleetGenerator
-
-
-def assert_replays_identical(a, b):
-    assert a.instance_id == b.instance_id
-    for attr in (
-        "true",
-        "arrival",
-        "kind",
-        "stage_pred",
-        "stage_source",
-        "autowlm_pred",
-        "cache_pred",
-        "local_pred",
-        "local_std",
-        "global_pred",
-        "uncertain",
-    ):
-        x, y = getattr(a, attr), getattr(b, attr)
-        equal_nan = x.dtype.kind == "f"
-        assert np.array_equal(x, y, equal_nan=equal_nan), attr
-    assert a.stage_stats == b.stage_stats
 
 
 N_INSTANCES = 8

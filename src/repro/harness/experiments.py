@@ -123,9 +123,6 @@ class SweepResult:
         """Concatenate one array attribute across all instance replays."""
         return np.concatenate([getattr(r, attr) for r in self.replays])
 
-    def pooled_mask(self, mask_attr: str) -> np.ndarray:
-        return np.concatenate([getattr(r, mask_attr) for r in self.replays])
-
 
 def run_sweep(
     config: SweepConfig | None = None,

@@ -148,13 +148,6 @@ class MicroBatchScheduler:
             self._cv.notify_all()
         return future
 
-    @property
-    def next_submit_seq(self) -> int:
-        """The next unclaimed sequence number (explicit-seq submitters
-        must base their stream here so it lands after every prior op)."""
-        with self._lock:
-            return self._next_submit_seq
-
     def reserve(self, count: int) -> int:
         """Atomically claim ``count`` sequence slots; returns the base.
 
@@ -276,13 +269,6 @@ class MicroBatchScheduler:
     # ------------------------------------------------------------------
     # worker side
     # ------------------------------------------------------------------
-    def _pop_ready(self) -> Optional[_Op]:
-        """Take the next in-sequence op, if it has arrived (locked)."""
-        op = self._ops.pop(self._next_exec_seq, None)
-        if op is not None:
-            self._next_exec_seq += 1
-        return op
-
     def _pop_ready_run(self, predict_limit: int) -> List[_Op]:
         """Take the maximal in-sequence run of same-kind ops (locked).
 

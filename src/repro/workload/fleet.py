@@ -248,9 +248,6 @@ class FleetGenerator:
             adhoc_rerun_probability=rerun_prob,
         )
 
-    def sample_fleet(self, n_instances: int, start_index: int = 0) -> List[InstanceProfile]:
-        return [self.sample_instance(start_index + i) for i in range(n_instances)]
-
     # ------------------------------------------------------------------
     # template construction
     # ------------------------------------------------------------------

@@ -81,16 +81,6 @@ class Trace:
     def exec_times(self) -> np.ndarray:
         return np.array([r.exec_time for r in self.records])
 
-    def sql_identities(self) -> List[tuple]:
-        """Identity of each query at the SQL level (template + params).
-
-        Re-planning after an ANALYZE does *not* change SQL identity —
-        matching the paper's definition of a repeated query ("exactly
-        repeated, both in terms of SQL and parameter values, but the
-        database may have changed in the meantime").
-        """
-        return [(r.template_id, r.variant_id) for r in self.records]
-
     def unique_daily_fraction(self, window_s: float = _SECONDS_PER_DAY) -> float:
         """Fraction of queries with no identical query in the last 24h."""
         if not self.records:
@@ -107,9 +97,6 @@ class Trace:
 
     def repeated_fraction(self) -> float:
         return 1.0 - self.unique_daily_fraction()
-
-    def exec_time_buckets(self) -> Dict[str, int]:
-        return bucket_counts(self.exec_times())
 
     def kind_mix(self) -> Dict[str, float]:
         """Observed fraction of queries per archetype."""

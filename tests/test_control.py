@@ -4,7 +4,10 @@ The headline contract is **reshard parity**: live migrations and shard-set
 resizes injected at arbitrary points of a fleet replay leave every
 instance's arrays and accounting bit-identical to the static fleet — the
 routing table only decides *where* an instance's sequenced op stream
-runs, never what it computes.  Around that: the versioned routing table
+runs, never what it computes.  Every registered scenario's
+mid-replay-reshard parity is a row of the backend-parity matrix
+(``tests/test_backend_parity.py``); here the hook reshards a socket
+replay, fails, or is refused.  Around that: the versioned routing table
 (seeded from ``shard_for``, so an untouched fleet is byte-identical to
 the static map), the cut-sequence migration protocol under live traffic,
 the load-watching rebalancer (pure planning + the executing controller),
@@ -20,6 +23,9 @@ import pytest
 # the one replay-parity check every parity suite shares
 from replay_parity import assert_replays_identical
 
+# the mid-replay reshard the backend-parity matrix runs on every scenario
+from test_backend_parity import reshard_hook
+
 from repro.core.config import (
     ControlConfig,
     GatewayConfig,
@@ -27,9 +33,7 @@ from repro.core.config import (
     ServiceConfig,
     fast_profile,
 )
-from repro.harness import FleetSweeper
 from repro.harness.replay import replay_instance
-from repro.scenarios import registered_scenarios
 from repro.service import (
     FleetController,
     FleetGateway,
@@ -39,34 +43,6 @@ from repro.service import (
     plan_rebalance,
     shard_for,
 )
-from repro.workload import FleetConfig, FleetGenerator
-
-SEED = 3
-VOLUME = 0.1
-DURATION = 0.7
-N_INSTANCES = 3
-
-FLEET = FleetConfig(seed=SEED, volume_scale=VOLUME)
-
-
-def make_sweeper(**kwargs):
-    return FleetSweeper(
-        fleet_config=kwargs.pop("fleet_config", FLEET),
-        stage_config=fast_profile(),
-        random_state=0,
-        **kwargs,
-    )
-
-
-@pytest.fixture(scope="module")
-def traces():
-    gen = FleetGenerator(FLEET)
-    return [gen.generate_trace(gen.sample_instance(i), DURATION) for i in range(N_INSTANCES)]
-
-
-@pytest.fixture(scope="module")
-def direct_replays(traces):
-    return make_sweeper().replay_traces(traces)
 
 
 def fleet_gateway(n_shards=2, **kwargs):
@@ -163,69 +139,25 @@ class TestRoutingTable:
 # ---------------------------------------------------------------------------
 # reshard parity: migrations/resizes mid-replay are invisible in results
 # ---------------------------------------------------------------------------
-def _reshard_hook(n_shards):
-    """A hook that exercises every control-plane motion mid-replay:
-    grow by one shard (rehash), migrate one instance off its canonical
-    shard, then shrink back to the original count (rehash again)."""
-
-    def hook(gateway):
-        time.sleep(0.05)  # let some of the replay stream get in flight
-        gateway.resize(n_shards + 1)
-        routes = gateway.routes()
-        instance_id = sorted(routes["assignments"])[0]
-        source = routes["assignments"][instance_id]
-        gateway.migrate_instance(instance_id, (source + 1) % (n_shards + 1))
-        time.sleep(0.05)
-        gateway.resize(n_shards)
-
-    return hook
-
-
-# every registered scenario must survive a mid-replay reshard
-# bit-identically; shard and client counts rotate through the grid as in
-# test_gateway so the whole grid is covered across the matrix
-_SCENARIO_GRID = [
-    pytest.param(scenario, (i % 3) + 1, (i % 2) + 1, id=scenario.name)
-    for i, scenario in enumerate(registered_scenarios())
-]
-
-
 class TestReshardParity:
-    @pytest.mark.parametrize("scenario,n_shards,clients", _SCENARIO_GRID)
-    def test_scenario_bit_identical_with_mid_replay_reshard(
-        self, scenario, n_shards, clients
-    ):
-        fleet = FleetConfig(seed=5, volume_scale=VOLUME, scenario=scenario.config)
-        direct = make_sweeper(fleet_config=fleet).replay_indices(range(2), 1.0)
-        via = make_sweeper(
-            fleet_config=fleet,
-            backend=ReplayBackend(
-                mode="gateway", clients=clients, gateway=GatewayConfig(n_shards=n_shards)
-            ),
-            reshard_hook=_reshard_hook(n_shards),
-            n_jobs=2,
-        ).replay_indices(range(2), 1.0)
-        for a, b in zip(direct, via):
-            assert_replays_identical(a, b)
-
-    def test_reshard_parity_over_the_socket(self, traces, direct_replays):
+    def test_reshard_parity_over_the_socket(self, traces, direct_replays, make_sweeper):
         """The hook reshards the gateway *behind* a live wire server
         while TCP connections replay through it — still bit-identical."""
         via = make_sweeper(
             backend=ReplayBackend(
                 mode="socket", clients=2, gateway=GatewayConfig(n_shards=2)
             ),
-            reshard_hook=_reshard_hook(2),
+            reshard_hook=reshard_hook(2),
             n_jobs=2,
         ).replay_traces(traces)
         for direct, replay in zip(direct_replays, via):
             assert_replays_identical(direct, replay)
 
-    def test_reshard_hook_requires_fleet_backend(self, traces):
+    def test_reshard_hook_requires_fleet_backend(self, traces, make_sweeper):
         with pytest.raises(ValueError, match="reshard_hook"):
             make_sweeper(reshard_hook=lambda gateway: None).replay_traces(traces)
 
-    def test_hook_failure_fails_the_sweep(self, traces):
+    def test_hook_failure_fails_the_sweep(self, traces, make_sweeper):
         def bad_hook(gateway):
             raise RuntimeError("injected reshard failure")
 

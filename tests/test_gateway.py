@@ -1,10 +1,12 @@
 """Tests for the sharded multi-process fleet gateway.
 
-The headline contract is fleet-level bit-parity: for every registered
-scenario, ``FleetSweeper`` direct, service and gateway replays
-(``ReplayBackend`` modes) produce identical arrays and cache/counter accounting for any
-shard count and client count — shard assignment, process boundaries,
-queue bounds and client interleaving are all invisible.  On top of that,
+The headline contract is fleet-level bit-parity: ``FleetSweeper``
+direct, service and gateway replays (``ReplayBackend`` modes) of the
+shared tier fleet produce identical arrays and cache/counter accounting
+for any shard count and client count — shard assignment, process
+boundaries, queue bounds and client interleaving are all invisible.
+Every registered scenario's gateway parity is a row of the
+backend-parity matrix (``tests/test_backend_parity.py``).  On top of that,
 shard routing (golden values + cross-process stability), permutation
 invariance of whole-fleet replays, fleet metrics aggregation and the
 whole-fleet snapshot/restore path (same-process, re-sharded and
@@ -34,18 +36,9 @@ from repro.core.config import (
     fast_profile,
 )
 from repro.global_model import GlobalModelTrainer
-from repro.harness import FleetSweeper
 from repro.parallelism import pool_map
-from repro.scenarios import registered_scenarios
 from repro.service import FleetGateway, ModelRegistry, PredictionService, shard_for
-from repro.workload import FleetConfig, FleetGenerator
-
-SEED = 3
-VOLUME = 0.1
-DURATION = 0.7
-N_INSTANCES = 3
-
-FLEET = FleetConfig(seed=SEED, volume_scale=VOLUME)
+from repro.workload import FleetGenerator
 
 
 def gateway_backend(n_shards=2, clients=1, **kwargs):
@@ -54,28 +47,8 @@ def gateway_backend(n_shards=2, clients=1, **kwargs):
     )
 
 
-def make_sweeper(**kwargs):
-    return FleetSweeper(
-        fleet_config=kwargs.pop("fleet_config", FLEET),
-        stage_config=fast_profile(),
-        random_state=0,
-        **kwargs,
-    )
-
-
 @pytest.fixture(scope="module")
-def traces():
-    gen = FleetGenerator(FLEET)
-    return [gen.generate_trace(gen.sample_instance(i), DURATION) for i in range(N_INSTANCES)]
-
-
-@pytest.fixture(scope="module")
-def direct_replays(traces):
-    return make_sweeper().replay_traces(traces)
-
-
-@pytest.fixture(scope="module")
-def via_service_replays(traces):
+def via_service_replays(traces, make_sweeper):
     return make_sweeper(backend=ReplayBackend(mode="service", clients=2)).replay_traces(traces)
 
 
@@ -127,7 +100,7 @@ class TestGatewayParity:
         "n_shards,service_clients", [(1, 1), (2, 2), (3, 3), (2, 4)]
     )
     def test_bit_identical_for_any_shards_and_clients(
-        self, traces, direct_replays, via_service_replays, n_shards, service_clients
+        self, traces, direct_replays, via_service_replays, make_sweeper, n_shards, service_clients
     ):
         via_gateway = make_sweeper(
             backend=gateway_backend(
@@ -138,7 +111,9 @@ class TestGatewayParity:
             assert_replays_identical(direct, via_gw)
             assert_replays_identical(via_svc, via_gw)
 
-    def test_concurrent_instance_submitters_bit_identical(self, traces, direct_replays):
+    def test_concurrent_instance_submitters_bit_identical(
+        self, traces, direct_replays, make_sweeper
+    ):
         """n_jobs > 1 replays several instances' streams through the
         gateway at once (thread submitters over the shard processes);
         per-instance sequencing keeps it bit-identical."""
@@ -146,12 +121,14 @@ class TestGatewayParity:
         for direct, replay in zip(direct_replays, via):
             assert_replays_identical(direct, replay)
 
-    def test_replay_indices_matches_replay_traces(self, traces, direct_replays):
-        via = make_sweeper(backend=gateway_backend()).replay_indices(range(N_INSTANCES), DURATION)
+    def test_replay_indices_matches_replay_traces(self, traces, direct_replays, make_sweeper):
+        via = make_sweeper(backend=gateway_backend()).replay_indices(
+            range(len(traces)), traces[0].duration_days
+        )
         for direct, replay in zip(direct_replays, via):
             assert_replays_identical(direct, replay)
 
-    def test_permutation_of_instances_is_invisible(self, traces, direct_replays):
+    def test_permutation_of_instances_is_invisible(self, traces, direct_replays, make_sweeper):
         """Feeding the fleet through the gateway in any instance order
         yields the same per-instance arrays (per-instance op streams are
         independent; shard assignment ignores arrival order)."""
@@ -159,28 +136,6 @@ class TestGatewayParity:
         permuted = make_sweeper(backend=gateway_backend()).replay_traces([traces[i] for i in order])
         for position, replay in zip(order, permuted):
             assert_replays_identical(direct_replays[position], replay)
-
-
-# every registered scenario must replay through the gateway
-# bit-identically; shard and client counts rotate through {1,2,3} so the
-# whole grid is exercised across the matrix without re-running every
-# scenario at every point
-_SCENARIO_GRID = [
-    pytest.param(scenario, (i % 3) + 1, (i % 2) + 1, id=scenario.name)
-    for i, scenario in enumerate(registered_scenarios())
-]
-
-
-class TestScenarioGatewayParity:
-    @pytest.mark.parametrize("scenario,n_shards,service_clients", _SCENARIO_GRID)
-    def test_scenario_bit_identical_via_gateway(self, scenario, n_shards, service_clients):
-        fleet = FleetConfig(seed=5, volume_scale=VOLUME, scenario=scenario.config)
-        direct = make_sweeper(fleet_config=fleet).replay_indices(range(2), 1.0)
-        via = make_sweeper(
-            fleet_config=fleet, backend=gateway_backend(n_shards, service_clients)
-        ).replay_indices(range(2), 1.0)
-        for a, b in zip(direct, via):
-            assert_replays_identical(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +206,14 @@ class TestGatewayService:
             gateway.drain()
             stats = gateway.stats()
         assert stats["n_shards"] == 2
-        assert stats["n_instances"] == N_INSTANCES
+        assert stats["n_instances"] == len(traces)
         assert stats["fleet"]["n_predicts"] == n_ops
         assert stats["fleet"]["n_observes"] == n_ops
         assert stats["fleet"]["cache_hits"] + stats["fleet"]["cache_misses"] == n_ops
-        assert len(stats["instances"]) == N_INSTANCES
+        assert len(stats["instances"]) == len(traces)
         # the per-shard rows cover every shard and agree on instance count
         assert [row["shard"] for row in stats["shards"]] == [0, 1]
-        assert sum(row["n_instances"] for row in stats["shards"]) == N_INSTANCES
+        assert sum(row["n_instances"] for row in stats["shards"]) == len(traces)
         # per-instance accounting sums to the fleet roll-up
         per_instance = stats["instances"].values()
         assert stats["fleet"]["n_predicts"] == sum(
@@ -307,9 +262,7 @@ def _held_out_fleet_predictions(gateway, traces, n_warm_fraction=0.5):
 
 def _restore_fleet_and_predict(args):
     """Spawn-able worker: restore a whole fleet cold and serve it."""
-    registry_root, name, n_shards, fleet_config, duration = args
-    gen = FleetGenerator(fleet_config)
-    traces = [gen.generate_trace(gen.sample_instance(i), duration) for i in range(N_INSTANCES)]
+    registry_root, name, n_shards, traces = args
     registry = ModelRegistry(registry_root)
     gateway = FleetGateway.restore(registry, name, config=GatewayConfig(n_shards=n_shards))
     try:
@@ -361,7 +314,7 @@ class TestFleetSnapshot:
             max_workers=1, mp_context=multiprocessing.get_context("spawn")
         ) as pool:
             payload = pool.submit(
-                _restore_fleet_and_predict, (str(tmp_path), "warm", 3, FLEET, DURATION)
+                _restore_fleet_and_predict, (str(tmp_path), "warm", 3, traces)
             ).result(timeout=600)
         got, got_stats = pickle.loads(payload)
         assert got == want
@@ -418,9 +371,9 @@ class TestFleetSnapshot:
 # one snapshot format: a service snapshot is a one-instance fleet snapshot
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def global_model():
-    gen = FleetGenerator(FLEET)
-    train = gen.generate_fleet_traces(2, DURATION, start_index=10_000)
+def global_model(fleet_config, traces):
+    gen = FleetGenerator(fleet_config)
+    train = gen.generate_fleet_traces(2, traces[0].duration_days, start_index=10_000)
     return GlobalModelTrainer(
         GlobalModelConfig(hidden_dim=16, n_conv_layers=2, epochs=2, max_queries_per_instance=60)
     ).train(train)

@@ -10,7 +10,8 @@ queues; they run under both fork and spawn start methods in CI's
 
 The ``FleetGateway._stall`` hook (a sleep op processed in shard queue
 order) is the instrumentation that makes queue states deterministic:
-while a shard sleeps, its queue holds whatever the test enqueued.
+while a shard sleeps, its queue holds whatever the test enqueued.  The
+fleet is the shared tier fleet (``traces`` in ``conftest.py``).
 """
 
 import time
@@ -26,13 +27,6 @@ from repro.service import (
     shard_for,
     shared_client,
 )
-from repro.workload import FleetConfig, FleetGenerator
-
-
-@pytest.fixture(scope="module")
-def traces():
-    gen = FleetGenerator(FleetConfig(seed=3, volume_scale=0.1))
-    return [gen.generate_trace(gen.sample_instance(i), 0.7) for i in range(3)]
 
 
 def two_shard_gateway(traces, **config_kwargs):

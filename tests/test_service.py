@@ -3,10 +3,11 @@
 The headline contract is serving/replay parity: replaying an instance
 through a service backend — any ``max_batch_size``, any client concurrency —
 yields bit-identical predictions and cache/counter accounting to the
-direct :func:`~repro.harness.replay.replay_instance` path.  On top of
-that, the scheduler's sequencing semantics, the batch router's flush
-invariance and the registry's bit-for-bit warm restart are covered
-individually.
+direct :func:`~repro.harness.replay.replay_instance` path.  (Every
+registered scenario's service parity is a row of the backend-parity
+matrix, ``tests/test_backend_parity.py``.)  On top of that, the
+scheduler's sequencing semantics, the batch router's flush invariance
+and the registry's bit-for-bit warm restart are covered individually.
 """
 
 import multiprocessing
@@ -21,7 +22,6 @@ from repro.core.config import GlobalModelConfig, ReplayBackend, ServiceConfig, f
 from repro.core.stage import BatchRouter, StagePredictor
 from repro.global_model import GlobalModelTrainer
 from repro.harness import replay_instance
-from repro.scenarios import registered_scenarios
 from repro.service import (
     ModelRegistry,
     PredictionService,
@@ -118,36 +118,6 @@ class TestViaServiceParity:
         assert counts["local"] > 0
         assert counts["global"] > 0
         assert reference_replay.stage_stats["n_local_retrains"] >= 1
-
-
-# ---------------------------------------------------------------------------
-# serving/replay parity under every registered stress scenario
-# ---------------------------------------------------------------------------
-class TestScenarioServingParity:
-    """A scenario can never ship that drifts serving from replay.
-
-    Every registered scenario's mutated workload must replay through a
-    live service bit-identically — arrays *and* cache/counter
-    accounting (``assert_replays_identical`` compares ``stage_stats``
-    key-for-key).  New scenarios are covered automatically: the
-    parametrization reads the registry.
-    """
-
-    @pytest.mark.parametrize("scenario", registered_scenarios(), ids=lambda s: s.name)
-    def test_scenario_bit_identical_via_service(self, scenario):
-        gen = FleetGenerator(FleetConfig(seed=5, volume_scale=0.12, scenario=scenario.config))
-        scenario_trace = gen.generate_trace(gen.sample_instance(0), 1.0)
-        direct = replay_instance(scenario_trace, config=fast_profile())
-        via = replay_instance(
-            scenario_trace,
-            config=fast_profile(),
-            backend=ReplayBackend(
-                mode="service",
-                clients=2,
-                service=ServiceConfig(max_batch_size=6),
-            ),
-        )
-        assert_replays_identical(direct, via)
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,15 @@ The headline contract extends fleet bit-parity one layer further out:
 socket replays — real TCP connections against a :class:`WireServer`
 fronting a sharded :class:`FleetGateway` — produce arrays AND
 cache/counter accounting identical to direct, service and gateway
-replays, for every registered scenario and any
-shard/connection count (the accounting is fetched over the wire too, so
-the whole parity check round-trips the socket).  On top of that:
-session lifecycle (HELLO handshake, idle timeout that spares busy
-sessions, GOODBYE, dirty-disconnect containment), raw-socket protocol
-robustness (bad magic/version, truncated and oversized frames,
-malformed payloads, unknown ops) and RETRY_AFTER admission control —
-a saturated shard queue backs the client off without dropping its
+replays of the shared tier fleet, for any shard/connection count (the
+accounting is fetched over the wire too, so the whole parity check
+round-trips the socket).  Every registered scenario's socket parity is
+a row of the backend-parity matrix (``tests/test_backend_parity.py``).
+On top of that: session lifecycle (HELLO handshake, idle timeout that
+spares busy sessions, GOODBYE, dirty-disconnect containment), raw-socket
+protocol robustness (bad magic/version, truncated and oversized frames,
+malformed payloads, unknown ops) and RETRY_AFTER admission control — a
+saturated shard queue backs the client off without dropping its
 connection.  Runs under both fork and spawn in CI's ``parallel-parity``
 job.
 """
@@ -37,8 +38,7 @@ from repro.core.config import (
     WireConfig,
     fast_profile,
 )
-from repro.harness import FleetSweeper, replay_instance
-from repro.scenarios import registered_scenarios
+from repro.harness import replay_instance
 from repro.service import (
     FleetGateway,
     GatewayBackpressureError,
@@ -53,40 +53,12 @@ from repro.service.wire import (
     PROTOCOL_VERSION,
     encode_frame,
 )
-from repro.workload import FleetConfig, FleetGenerator
-
-SEED = 3
-VOLUME = 0.1
-DURATION = 0.7
-N_INSTANCES = 3
-
-FLEET = FleetConfig(seed=SEED, volume_scale=VOLUME)
 
 
 def socket_backend(n_shards=2, clients=1, **kwargs):
     return ReplayBackend(
         mode="socket", clients=clients, gateway=GatewayConfig(n_shards=n_shards), **kwargs
     )
-
-
-def make_sweeper(**kwargs):
-    return FleetSweeper(
-        fleet_config=kwargs.pop("fleet_config", FLEET),
-        stage_config=fast_profile(),
-        random_state=0,
-        **kwargs,
-    )
-
-
-@pytest.fixture(scope="module")
-def traces():
-    gen = FleetGenerator(FLEET)
-    return [gen.generate_trace(gen.sample_instance(i), DURATION) for i in range(N_INSTANCES)]
-
-
-@pytest.fixture(scope="module")
-def direct_replays(traces):
-    return make_sweeper().replay_traces(traces)
 
 
 @contextlib.contextmanager
@@ -119,7 +91,7 @@ def wait_for(predicate, timeout=10.0, message="condition"):
 class TestSocketParity:
     @pytest.mark.parametrize("n_shards,n_connections", [(1, 1), (2, 2), (3, 3), (2, 4)])
     def test_bit_identical_for_any_shards_and_connections(
-        self, traces, direct_replays, n_shards, n_connections
+        self, traces, direct_replays, make_sweeper, n_shards, n_connections
     ):
         via = make_sweeper(
             backend=socket_backend(n_shards, n_connections, service=ServiceConfig(max_batch_size=7))
@@ -127,7 +99,9 @@ class TestSocketParity:
         for direct, replay in zip(direct_replays, via):
             assert_replays_identical(direct, replay)
 
-    def test_concurrent_instance_submitters_bit_identical(self, traces, direct_replays):
+    def test_concurrent_instance_submitters_bit_identical(
+        self, traces, direct_replays, make_sweeper
+    ):
         """n_jobs > 1 replays several instances' streams over concurrent
         TCP connections at once; reserved sequence ranges keep every
         interleaving bit-identical."""
@@ -138,26 +112,6 @@ class TestSocketParity:
     def test_replay_instance_via_socket(self, traces, direct_replays):
         via = replay_instance(traces[0], config=fast_profile(), backend=socket_backend(3, 3))
         assert_replays_identical(direct_replays[0], via)
-
-
-# every registered scenario must replay over the socket bit-identically;
-# shard and connection counts rotate through the grid as in test_gateway
-_SCENARIO_GRID = [
-    pytest.param(scenario, (i % 3) + 1, (i % 2) + 1, id=scenario.name)
-    for i, scenario in enumerate(registered_scenarios())
-]
-
-
-class TestScenarioSocketParity:
-    @pytest.mark.parametrize("scenario,n_shards,n_connections", _SCENARIO_GRID)
-    def test_scenario_bit_identical_via_socket(self, scenario, n_shards, n_connections):
-        fleet = FleetConfig(seed=5, volume_scale=VOLUME, scenario=scenario.config)
-        direct = make_sweeper(fleet_config=fleet).replay_indices(range(2), 1.0)
-        via = make_sweeper(
-            fleet_config=fleet, backend=socket_backend(n_shards, n_connections)
-        ).replay_indices(range(2), 1.0)
-        for a, b in zip(direct, via):
-            assert_replays_identical(a, b)
 
 
 # ---------------------------------------------------------------------------
