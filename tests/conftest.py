@@ -13,9 +13,10 @@ Two fleets are shared session-wide, each replayed directly once:
   ``make_sweeper``): three small instances the gateway, wire, control
   and gateway-fault suites serve, reshard and break;
 * the *scenario matrix* (``scenario_sweep``, ``scenario_sweeper``,
-  ``scenario_references``): every registered scenario over one shared
-  fleet, the reference every row of ``tests/test_backend_parity.py``
-  and the scenario report tests compare against.
+  ``scenario_references``, ``assert_scenario_parity``): every
+  registered scenario over one shared fleet, the reference every row of
+  ``tests/test_backend_parity.py``, the two service-tier scenario
+  checks and the scenario report tests compare against.
 """
 
 import os
@@ -28,6 +29,8 @@ from repro.core.config import fast_profile
 from repro.harness import FleetSweeper
 from repro.scenarios import ScenarioRunner, ScenarioSweepConfig, registered_scenarios
 from repro.workload import FleetConfig, FleetGenerator
+
+from replay_parity import assert_replays_identical
 
 settings.register_profile("ci", derandomize=True, max_examples=30, deadline=None)
 settings.register_profile("dev", max_examples=75, deadline=None)
@@ -111,3 +114,21 @@ def scenario_references(scenario_sweeper):
         )
         for scenario in registered_scenarios()
     }
+
+
+@pytest.fixture(scope="session")
+def assert_scenario_parity(scenario_sweeper, scenario_references):
+    """``assert_scenario_parity(scenario, **kwargs)``: replay the
+    scenario's matrix fleet on the tier ``kwargs`` pick and assert it
+    reproduces the scenario's direct reference exactly."""
+
+    def check(scenario, **kwargs):
+        via = scenario_sweeper(scenario, **kwargs).replay_indices(
+            range(SCENARIO_SWEEP.n_instances), SCENARIO_SWEEP.duration_days
+        )
+        want = scenario_references[scenario.name]
+        assert len(via) == len(want)
+        for a, b in zip(want, via):
+            assert_replays_identical(a, b)
+
+    return check

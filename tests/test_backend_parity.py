@@ -8,7 +8,13 @@ scenario is replayed directly once per session (``scenario_references``
 in ``conftest.py``: seed 5, volume 0.1, 2 instances x 1 day, under
 ``fast_profile()`` with the local model's ``min_train_size=10`` and
 ``retrain_interval=60``), and every row below must reproduce those
-replays exactly: arrays and ``stage_stats`` accounting.
+replays exactly: arrays and ``stage_stats`` accounting.  The service
+tier's rows live beside the service and scenario suites, at the two knob
+settings those suites pin: ``test_service.py::TestScenarioServingParity``
+(2 clients, ``max_batch_size=6``) and
+``test_scenarios.py::TestScenarioParity::test_bit_identical_via_service``
+(3 clients, ``max_batch_size=7``), through the same
+``assert_scenario_parity`` fixture.
 
 Rows rotate their knobs by scenario index so the matrix covers every
 shard count in {1, 2, 3} and client count in {1, 2} without running
@@ -20,9 +26,7 @@ import time
 
 import pytest
 
-from replay_parity import assert_replays_identical
-
-from repro.core.config import GatewayConfig, ReplayBackend, ServiceConfig
+from repro.core.config import GatewayConfig, ReplayBackend
 from repro.scenarios import registered_scenarios
 
 SCENARIOS = registered_scenarios()
@@ -55,11 +59,6 @@ def reshard_hook(n_shards):
 #: each row: scenario index -> the sweeper knobs that pick its tier
 ROWS = {
     "n_jobs2": lambda i: {"n_jobs": 2},
-    "service": lambda i: {
-        "backend": ReplayBackend(
-            mode="service", clients=2 + i % 2, service=ServiceConfig(max_batch_size=6 + i % 2)
-        )
-    },
     "gateway": lambda i: {"backend": _fleet_backend("gateway", i)},
     "socket": lambda i: {"backend": _fleet_backend("socket", i)},
     "gateway_reshard": lambda i: {
@@ -72,15 +71,8 @@ ROWS = {
 
 @pytest.mark.parametrize("row", ROWS)
 @pytest.mark.parametrize("index", range(len(SCENARIOS)), ids=[s.name for s in SCENARIOS])
-def test_tier_matches_direct(index, row, scenario_sweep, scenario_sweeper, scenario_references):
-    scenario = SCENARIOS[index]
-    via = scenario_sweeper(scenario, **ROWS[row](index)).replay_indices(
-        range(scenario_sweep.n_instances), scenario_sweep.duration_days
-    )
-    want = scenario_references[scenario.name]
-    assert len(via) == len(want)
-    for a, b in zip(want, via):
-        assert_replays_identical(a, b)
+def test_tier_matches_direct(index, row, assert_scenario_parity):
+    assert_scenario_parity(SCENARIOS[index], **ROWS[row](index))
 
 
 def test_references_exercise_cache_and_ensemble(scenario_references):

@@ -2,10 +2,11 @@
 
 Each mutation's observable effect on the trace is pinned down
 individually, as are the config validation, the registry semantics, the
-report and the CLI.  Replay parity of every registered scenario across
-``n_jobs`` and serving tiers lives in the backend-parity matrix
+report and the CLI.  Every registered scenario replays through a
+3-client service exactly as its direct reference; parity across
+``n_jobs`` and the fleet tiers lives in the backend-parity matrix
 (``tests/test_backend_parity.py``), whose once-per-session references
-the report tests here render.
+these checks and the report tests here share.
 """
 
 import numpy as np
@@ -232,9 +233,16 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# the sweeper's service hook
+# every scenario through the service, and the sweeper's service hook
 # ---------------------------------------------------------------------------
 class TestScenarioParity:
+    @pytest.mark.parametrize("scenario", registered_scenarios(), ids=lambda s: s.name)
+    def test_bit_identical_via_service(self, scenario, assert_scenario_parity):
+        """Every scenario's matrix fleet replays through a 3-client service
+        at ``max_batch_size=7`` exactly as its direct reference."""
+        backend = ReplayBackend(mode="service", clients=3, service=ServiceConfig(max_batch_size=7))
+        assert_scenario_parity(scenario, backend=backend)
+
     def test_fleet_sweeper_via_service_matches_replay_instance(self, baseline_trace):
         """The sweeper's service hook is the same path replay_instance takes."""
         backend = ReplayBackend(mode="service", clients=2, service=ServiceConfig(max_batch_size=5))

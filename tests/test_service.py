@@ -3,11 +3,12 @@
 The headline contract is serving/replay parity: replaying an instance
 through a service backend — any ``max_batch_size``, any client concurrency —
 yields bit-identical predictions and cache/counter accounting to the
-direct :func:`~repro.harness.replay.replay_instance` path.  (Every
-registered scenario's service parity is a row of the backend-parity
-matrix, ``tests/test_backend_parity.py``.)  On top of that, the
-scheduler's sequencing semantics, the batch router's flush invariance
-and the registry's bit-for-bit warm restart are covered individually.
+direct :func:`~repro.harness.replay.replay_instance` path, and every
+registered scenario replays through the service exactly as its
+backend-parity-matrix reference (``tests/test_backend_parity.py``).
+On top of that, the scheduler's sequencing semantics, the batch
+router's flush invariance and the registry's bit-for-bit warm restart
+are covered individually.
 """
 
 import multiprocessing
@@ -22,6 +23,7 @@ from repro.core.config import GlobalModelConfig, ReplayBackend, ServiceConfig, f
 from repro.core.stage import BatchRouter, StagePredictor
 from repro.global_model import GlobalModelTrainer
 from repro.harness import replay_instance
+from repro.scenarios import registered_scenarios
 from repro.service import (
     ModelRegistry,
     PredictionService,
@@ -118,6 +120,25 @@ class TestViaServiceParity:
         assert counts["local"] > 0
         assert counts["global"] > 0
         assert reference_replay.stage_stats["n_local_retrains"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# serving/replay parity under every registered stress scenario
+# ---------------------------------------------------------------------------
+class TestScenarioServingParity:
+    """A scenario can never ship that drifts serving from replay.
+
+    Every registered scenario's matrix fleet must replay through a live
+    2-client service at ``max_batch_size=6`` bit-identically to its
+    direct reference (``scenario_references``), arrays *and*
+    cache/counter accounting.  New scenarios are covered automatically:
+    the parametrization reads the registry.
+    """
+
+    @pytest.mark.parametrize("scenario", registered_scenarios(), ids=lambda s: s.name)
+    def test_scenario_bit_identical_via_service(self, scenario, assert_scenario_parity):
+        backend = ReplayBackend(mode="service", clients=2, service=ServiceConfig(max_batch_size=6))
+        assert_scenario_parity(scenario, backend=backend)
 
 
 # ---------------------------------------------------------------------------
