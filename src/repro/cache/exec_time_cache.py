@@ -114,42 +114,35 @@ class ExecTimeCache:
 
     # ------------------------------------------------------------------
     def lookup(self, key) -> Optional[float]:
-        """Predicted exec-time for ``key``, or ``None`` on a miss.
+        """Predicted exec-time for ``key``, or ``None`` on a miss: the
+        point of :meth:`lookup_prediction`, with the same accounting.
 
         Lookups do not change eviction order; only observations do (the
         eviction policy is least-recently-*updated*, not least-recently-
         used).
         """
-        value = self.peek(key)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
+        prediction = self.lookup_prediction(key)
+        return None if prediction is None else prediction.exec_time
 
     def peek(self, key) -> Optional[float]:
-        """Predicted exec-time for ``key`` without touching accounting.
+        """Predicted exec-time for ``key`` without touching accounting:
+        the point of :meth:`peek_prediction`.
 
-        Identical value to :meth:`lookup`, but neither ``hits`` nor
-        ``misses`` move: use this for instrumentation (component
-        collection, probes, debugging) so that ``hit_rate`` keeps meaning
-        "fraction of *routed* predictions served by the cache" — exactly
-        one counted lookup per query.
+        Use this for instrumentation (component collection, probes,
+        debugging) so that ``hit_rate`` keeps meaning "fraction of
+        *routed* predictions served by the cache" — exactly one counted
+        lookup per query.
         """
-        stats = self._entries.get(key)
-        if stats is None:
-            return None
-        return self._point_of(stats)
-
-    def _point_of(self, stats: RunningStats) -> float:
-        if self.mode == "ewma":
-            return stats.ewma
-        return self.alpha * stats.mean + (1.0 - self.alpha) * stats.last
+        prediction = self._predictions.get(key)
+        return None if prediction is None else prediction.exec_time
 
     def _build_prediction(self, stats: RunningStats) -> "Prediction":
         """The entry's full cache answer, from its current stats."""
         prediction_cls, source_cls = _prediction_types()
-        point = self._point_of(stats)
+        if self.mode == "ewma":
+            point = stats.ewma
+        else:
+            point = self.alpha * stats.mean + (1.0 - self.alpha) * stats.last
         low, high = welford_interval(
             point, stats.count, stats.sample_variance, NOMINAL_CONFIDENCE
         )
@@ -163,8 +156,8 @@ class ExecTimeCache:
     def peek_prediction(self, key) -> Optional["Prediction"]:
         """Full cache answer for ``key`` (no accounting), or ``None``.
 
-        The point estimate is exactly :meth:`peek`; the interval is the
-        Welford prediction interval of the entry's observations
+        The point is the blend (or EWMA) of the entry's observations;
+        the interval is their Welford prediction interval
         (:func:`~repro.ml.intervals.welford_interval` at the nominal
         confidence) — single-observation entries collapse to the point.
         The answer is *precomputed*: every observe rebuilds the entry's
@@ -174,26 +167,16 @@ class ExecTimeCache:
         return self._predictions.get(key)
 
     def lookup_prediction(self, key) -> Optional["Prediction"]:
-        """Counted :meth:`peek_prediction` — the router's cache probe.
-
-        Moves exactly the counter :meth:`lookup` would (one hit or one
-        miss), so swapping a ``lookup`` call for ``lookup_prediction``
-        never changes the accounting the parity suites compare.
-        """
-        prediction = self._predictions.get(key)
-        if prediction is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return prediction
+        """Counted :meth:`peek_prediction`: the one-key
+        :meth:`lookup_predictions`."""
+        return self.lookup_predictions([key])[0]
 
     def lookup_predictions(self, keys: Sequence[str]) -> List[Optional["Prediction"]]:
-        """Counted batch probe: one pass over ``keys``.
+        """Counted probe of a window of keys: one hit or one miss per key.
 
-        Bit-identical results and counter movement to calling
-        :meth:`lookup_prediction` once per key, with the per-call
-        overhead paid once for the whole window — the vectorized
-        fast path for the ~80% of serving traffic that hits the cache.
+        The router's cache probe; the per-call overhead is paid once for
+        the whole window, and every answer is a precomputed
+        :class:`Prediction` read from a dict.
         """
         predictions = self._predictions
         out = [predictions.get(key) for key in keys]

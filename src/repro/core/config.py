@@ -106,13 +106,13 @@ class ForecastConfig:
     """Workload-forecasting (:mod:`repro.forecast`) settings.
 
     The forecaster folds each instance's arrival stream onto a seasonal
-    cycle of ``bucket_minutes``-wide time bins and tracks which cache
-    keys recur per bin, then drives three proactive consumers: cache
-    pre-warming (:class:`~repro.core.stage.StagePredictor` refreshes or
-    restores forecast-hot entries at every bin boundary), retrain
-    scheduling (warm local retrains wait for a forecast load trough),
-    and forecast-driven rebalancing
-    (``ControlConfig.load_source="forecast"``).
+    cycle of fixed-width time bins (``repro.forecast.model.BUCKET_MINUTES``)
+    and tracks which cache keys recur per bin, then drives three
+    proactive consumers: cache pre-warming
+    (:class:`~repro.core.stage.StagePredictor` refreshes or restores
+    forecast-hot entries at every bin boundary), retrain scheduling
+    (warm local retrains wait for a forecast load trough), and
+    forecast-driven rebalancing (``ControlConfig.load_source="forecast"``).
 
     Determinism: every forecast input is the op stream itself — arrival
     times and cache keys carried by the sequenced records, never
@@ -124,23 +124,10 @@ class ForecastConfig:
     stream, like every other seeded stage.
     """
 
-    #: width of one forecast time bin (minutes)
-    bucket_minutes: float = 30.0
     #: seasonal fold period (days); daily cycles by default
     period_days: float = 1.0
     #: pre-warm budget: forecast-hot cache keys refreshed per bin
     top_templates: int = 16
-    #: a key must recur at least this often to count as forecast-hot
-    #: (one-shot ad-hoc queries are never worth pre-warming)
-    min_key_count: int = 2
-    #: a key is due when its predicted next arrival lands within this
-    #: many bins of the bin being pre-warmed
-    due_lookahead_bins: int = 2
-    #: a key idle longer than this multiple of its mean inter-arrival
-    #: gap (plus one bin of slack) is retired from the hot-key forecast
-    alive_gap_multiple: float = 4.0
-    #: pre-warm the cache at bin boundaries (touch + archive restore)
-    prewarm: bool = True
     #: evicted-entry archive the pre-warmer may restore from (0 = keep
     #: the cache's default drop-on-evict behavior)
     archive_capacity: int = 512
@@ -156,26 +143,16 @@ class ForecastConfig:
     #: observations before trough calls are trusted (cold forecasters
     #: never defer)
     min_history: int = 20
-    #: bins of lookahead summed into the rebalancer's forecast load
-    horizon_bins: int = 4
     #: offline fits subsample histories larger than this (seeded)
     max_fit_events: int = 100_000
     #: distinct cache keys tracked before the mix forecaster prunes
     max_keys_tracked: int = 4096
 
     def __post_init__(self):
-        if self.bucket_minutes <= 0:
-            raise ValueError("bucket_minutes must be > 0")
         if self.period_days <= 0:
             raise ValueError("period_days must be > 0")
         if self.top_templates < 0:
             raise ValueError("top_templates must be >= 0")
-        if self.min_key_count < 1:
-            raise ValueError("min_key_count must be >= 1")
-        if self.due_lookahead_bins < 1:
-            raise ValueError("due_lookahead_bins must be >= 1")
-        if self.alive_gap_multiple <= 0:
-            raise ValueError("alive_gap_multiple must be > 0")
         if self.archive_capacity < 0:
             raise ValueError("archive_capacity must be >= 0")
         if not 0 <= self.trough_fraction <= 1:
@@ -184,8 +161,6 @@ class ForecastConfig:
             raise ValueError("max_retrain_defer_bins must be >= 1")
         if self.min_history < 0:
             raise ValueError("min_history must be >= 0")
-        if self.horizon_bins < 1:
-            raise ValueError("horizon_bins must be >= 1")
         if self.max_fit_events < 1:
             raise ValueError("max_fit_events must be >= 1")
         if self.max_keys_tracked < 1:
@@ -355,9 +330,6 @@ class ControlConfig:
     #: do nothing until the fleet has seen at least this many ops —
     #: avoids thrashing on an idle or barely-warm fleet
     min_total_ops: int = 1
-    #: live queue depth counts this many op-units of load per queued op
-    #: (queued work is *current* pressure; cumulative totals are history)
-    queue_depth_weight: float = 10.0
     #: per-migration timeout handed to
     #: :meth:`~repro.service.FleetGateway.migrate_instance`
     migration_timeout_s: float = 120.0
@@ -381,8 +353,6 @@ class ControlConfig:
             raise ValueError("cycle_interval_s must be > 0")
         if self.min_total_ops < 0:
             raise ValueError("min_total_ops must be >= 0")
-        if self.queue_depth_weight < 0:
-            raise ValueError("queue_depth_weight must be >= 0")
         if self.migration_timeout_s <= 0:
             raise ValueError("migration_timeout_s must be > 0")
 

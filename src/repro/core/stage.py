@@ -55,8 +55,9 @@ class RoutedComponents:
     #: as ``prediction``
     cache: Optional[Prediction]
     #: the local ensemble's answer where the router consulted it
-    #: (i.e. on every cache miss with a ready local model); ``None``
-    #: on cache hits and before the first local retrain
+    #: (i.e. on every cache miss with a ready local model, and on cache
+    #: hits when the router collects their local answers); ``None``
+    #: otherwise and before the first local retrain
     local: Optional[Prediction]
     #: whether the local model had a trained ensemble at prediction time
     local_ready: bool
@@ -208,7 +209,7 @@ class StagePredictor(Predictor):
         crossed = self._forecast_bin is not None and bin_index > self._forecast_bin
         if self._forecast_bin is None or bin_index > self._forecast_bin:
             self._forecast_bin = bin_index
-        if crossed and self.config.forecast.prewarm:
+        if crossed:
             for hot in forecast.hot_keys(time_s):
                 if self.cache.touch(hot):
                     self.n_prewarm_touches += 1
@@ -296,9 +297,11 @@ class StagePredictor(Predictor):
 class RoutedSlot:
     """Placeholder for one routed prediction.
 
-    ``components`` is filled either immediately (cache hit, cold-start
-    global/default routes) or at the router's next :meth:`BatchRouter.flush`
-    (routes that need the local ensemble).
+    ``components`` is set once, complete: at route time for cache hits
+    and cold-start routes, or at the router's next
+    :meth:`BatchRouter.flush` for routes that consult the local ensemble
+    (and, with component collection on, for cache hits, whose local
+    answer rides the window).  :attr:`ready` is the only readiness test.
     """
 
     __slots__ = ("components",)
@@ -317,23 +320,23 @@ class _PendingEntry:
 
     slot: RoutedSlot
     record: QueryRecord
-    #: True when the router itself needs the answer to finish routing;
-    #: False for component-collection-only inference on cache hits
-    routed: bool
+    #: the cache's answer for a component-collection entry (a cache hit,
+    #: already routed and counted); ``None`` for an entry the flush routes
+    cache: Optional[Prediction] = None
 
 
 class BatchRouter:
     """Incremental batch routing over one :class:`StagePredictor`.
 
-    The single batch-path implementation shared by the replay harness
+    The single routing implementation shared by the replay harness
     (every replay mode) and the online
     :class:`~repro.service.PredictionService` — both consume this class,
     so the offline and serving paths cannot drift.
 
-    Contract: interleaving :meth:`route` and :meth:`observe` calls in
-    arrival order produces, after the final :meth:`flush`, results
-    **bit-identical** to the sequential
-    ``predict_with_components``/``observe`` loop — for any flush points.
+    Contract: interleaving :meth:`route_batch` and :meth:`observe` calls
+    in arrival order produces, after the final :meth:`flush`, results
+    **bit-identical** to routing and observing one query at a time with
+    a flush after every route — for any window sizes and flush points.
     This holds because the only work the router defers is local-ensemble
     inference, and the ensemble is frozen between retrains:
 
@@ -355,151 +358,80 @@ class BatchRouter:
 
     def __init__(self, stage: StagePredictor, collect_cache_hit_local: bool = False):
         self.stage = stage
-        #: also run the (frozen) local ensemble on cache hits, filling
-        #: ``components.local`` for them at flush time — used by replay
-        #: component collection; never affects routing or accounting
+        #: also run the (frozen) local ensemble on cache hits, completing
+        #: their slots at flush time with ``components.local`` filled —
+        #: used by replay component collection; never affects routing or
+        #: accounting
         self.collect_cache_hit_local = collect_cache_hit_local
         self._frozen = None
         self._pending: List[_PendingEntry] = []
 
     # ------------------------------------------------------------------
     @property
-    def n_deferred(self) -> int:
-        """Deferred *routed* predictions waiting on the next flush."""
-        return sum(1 for entry in self._pending if entry.routed)
-
-    @property
     def has_pending(self) -> bool:
         return bool(self._pending)
 
     # ------------------------------------------------------------------
     def route(self, record: QueryRecord) -> RoutedSlot:
-        """Route one query; may defer local inference to the next flush.
-
-        Returns a :class:`RoutedSlot` that is ready immediately for cache
-        hits and cold-start routes, and completes at the next
-        :meth:`flush` when the local ensemble is consulted.
-        """
-        stage = self.stage
-        local_ready = stage.local.is_ready
-        local_generation = stage.local.n_retrains
-
-        # stage 1: exec-time cache
-        cached = stage.cache.lookup_prediction(
-            stage.cache.key_for(record.features)
-        )
-        if cached is not None:
-            stage._count_routed(cached)
-            slot = RoutedSlot(
-                RoutedComponents(
-                    prediction=cached,
-                    cache=cached,
-                    local=None,
-                    local_ready=local_ready,
-                    local_generation=local_generation,
-                )
-            )
-            if self.collect_cache_hit_local and local_ready:
-                self._defer(slot, record, routed=False)
-            return slot
-
-        # stage 2/3 with a ready local model: defer to the window batch
-        if local_ready:
-            slot = RoutedSlot()
-            self._defer(slot, record, routed=True)
-            return slot
-
-        return self._route_cold(record, local_ready, local_generation)
-
-    def _route_cold(
-        self, record: QueryRecord, local_ready: bool, local_generation: int
-    ) -> RoutedSlot:
-        """Stage 3 / default for a cache miss with no ready local model."""
-        stage = self.stage
-        if stage.global_model is not None:
-            prediction = stage.global_model.predict(
-                record.plan, stage.instance, n_concurrent=0.0
-            )
-        else:
-            # cold start with no global model: running-median default
-            prediction = Prediction(
-                exec_time=stage._default.value,
-                source=PredictionSource.DEFAULT,
-            )
-        stage._count_routed(prediction)
-        return RoutedSlot(
-            RoutedComponents(
-                prediction=prediction,
-                cache=None,
-                local=None,
-                local_ready=local_ready,
-                local_generation=local_generation,
-            )
-        )
+        """Route one query: the one-row :meth:`route_batch`."""
+        return self.route_batch([record])[0]
 
     def route_batch(self, records: List[QueryRecord]) -> List[RoutedSlot]:
-        """Route a window of queries in one pass — the serving fast path.
+        """Route a window of queries in one pass; may defer local
+        inference to the next :meth:`flush`.
 
-        Bit-identical (results *and* cache/counter accounting) to
-        calling :meth:`route` once per record in order, which is valid
-        exactly because no observe intervenes inside the window: the
-        cache, the local ensemble's readiness/generation and the
-        running-median default are all constant across the batch, so the
-        per-record loop's repeated state reads are hoisted and the cache
-        probe collapses into one counted
-        :meth:`~repro.cache.ExecTimeCache.lookup_predictions` pass over
-        precomputed answers.  ~80% of fleet traffic is cache hits, so
-        this removes most of the per-op routing cost.
+        No observe intervenes inside the window, so the cache, the local
+        ensemble's readiness/generation and the running-median default
+        are constant across it: state is read once, the cache probe is
+        one counted :meth:`~repro.cache.ExecTimeCache.lookup_predictions`
+        pass over precomputed answers, and cold-start global routes take
+        one batched forward.  Returns one :class:`RoutedSlot` per record,
+        ready at once for cache hits and cold-start routes.
         """
         stage = self.stage
         cache = stage.cache
         local_ready = stage.local.is_ready
         local_generation = stage.local.n_retrains
         collect = self.collect_cache_hit_local and local_ready
-        batch_global = stage.global_model is not None
-        cached = cache.lookup_predictions(
-            [cache.key_for(record.features) for record in records]
-        )
-        slots: List[RoutedSlot] = []
+
+        def routed(prediction: Prediction, cache_answer: Optional[Prediction] = None):
+            stage._count_routed(prediction)
+            return RoutedComponents(
+                prediction=prediction,
+                cache=cache_answer,
+                local=None,
+                local_ready=local_ready,
+                local_generation=local_generation,
+            )
+
+        cached = cache.lookup_predictions([cache.key_for(record.features) for record in records])
+        slots = [RoutedSlot() for _ in records]
         cold_global: List[int] = []
         for idx, (record, hit) in enumerate(zip(records, cached)):
             if hit is not None:
-                stage._count_routed(hit)
-                slot = RoutedSlot(
-                    RoutedComponents(
-                        prediction=hit,
-                        cache=hit,
-                        local=None,
-                        local_ready=local_ready,
-                        local_generation=local_generation,
-                    )
-                )
                 if collect:
-                    self._defer(slot, record, routed=False)
+                    stage._count_routed(hit)
+                    self._defer(slots[idx], record, cache=hit)
+                else:
+                    slots[idx].components = routed(hit, hit)
             elif local_ready:
-                slot = RoutedSlot()
-                self._defer(slot, record, routed=True)
-            elif batch_global:
+                self._defer(slots[idx], record)
+            elif stage.global_model is not None:
                 # cold global route: completed below with one batched
                 # order-stable forward over the window's cold misses
-                slot = RoutedSlot()
                 cold_global.append(idx)
             else:
-                slot = self._route_cold(record, local_ready, local_generation)
-            slots.append(slot)
-        if cold_global:
-            predictions = self._global_many(
-                [records[i].plan for i in cold_global]
-            )
-            for idx, prediction in zip(cold_global, predictions):
-                stage._count_routed(prediction)
-                slots[idx].components = RoutedComponents(
-                    prediction=prediction,
-                    cache=None,
-                    local=None,
-                    local_ready=local_ready,
-                    local_generation=local_generation,
+                # cold start with no global model: running-median default
+                slots[idx].components = routed(
+                    Prediction(
+                        exec_time=stage._default.value,
+                        source=PredictionSource.DEFAULT,
+                    )
                 )
+        if cold_global:
+            predictions = self._global_many([records[i].plan for i in cold_global])
+            for idx, prediction in zip(cold_global, predictions):
+                slots[idx].components = routed(prediction)
         return slots
 
     def _global_many(self, plans: List) -> List[Prediction]:
@@ -518,13 +450,15 @@ class BatchRouter:
         self.stage.observe(record)
 
     # ------------------------------------------------------------------
-    def _defer(self, slot: RoutedSlot, record: QueryRecord, routed: bool) -> None:
+    def _defer(
+        self, slot: RoutedSlot, record: QueryRecord, cache: Optional[Prediction] = None
+    ) -> None:
         generation = self.stage.local.n_retrains
         if self._frozen is not None and self._frozen.generation != generation:
             self.flush()
         if self._frozen is None:
             self._frozen = self.stage.local.frozen()
-        self._pending.append(_PendingEntry(slot=slot, record=record, routed=routed))
+        self._pending.append(_PendingEntry(slot=slot, record=record, cache=cache))
 
     def flush(self) -> None:
         """Serve the pending window with one batched ensemble call.
@@ -542,41 +476,33 @@ class BatchRouter:
         frozen, self._frozen = self._frozen, None
         features = np.vstack([entry.record.features for entry in pending])
         batch = frozen.predict_batch(features)
+
+        def complete(entry: _PendingEntry, prediction: Prediction, local: Prediction):
+            entry.slot.components = RoutedComponents(
+                prediction=prediction,
+                cache=entry.cache,
+                local=local,
+                local_ready=True,
+                local_generation=frozen.generation,
+            )
+
         #: entries routed to the global model, resolved below with one
-        #: batched order-stable forward in window order (bit-identical
-        #: to the per-entry ``predict`` loop it replaces)
+        #: batched order-stable forward in window order
         fallback: List[int] = []
         for i, (entry, local_pred) in enumerate(zip(pending, batch)):
-            if not entry.routed:
-                # cache hit: prediction was already answered from the
-                # cache; only the component answer is filled in
-                entry.slot.components.local = local_pred
+            if entry.cache is not None:
+                # cache hit: routed (and counted) from the cache already
+                complete(entry, entry.cache, local_pred)
                 continue
             is_short = local_pred.exec_time < cfg.short_circuit_seconds
             is_certain = local_pred.std < cfg.uncertainty_threshold
             if is_short or is_certain or stage.global_model is None:
-                prediction = local_pred
+                stage._count_routed(local_pred)
+                complete(entry, local_pred, local_pred)
             else:
                 fallback.append(i)
-                continue
-            stage._count_routed(prediction)
-            entry.slot.components = RoutedComponents(
-                prediction=prediction,
-                cache=None,
-                local=local_pred,
-                local_ready=True,
-                local_generation=frozen.generation,
-            )
         if fallback:
-            predictions = self._global_many(
-                [pending[i].record.plan for i in fallback]
-            )
+            predictions = self._global_many([pending[i].record.plan for i in fallback])
             for i, prediction in zip(fallback, predictions):
                 stage._count_routed(prediction)
-                pending[i].slot.components = RoutedComponents(
-                    prediction=prediction,
-                    cache=None,
-                    local=batch[i],
-                    local_ready=True,
-                    local_generation=frozen.generation,
-                )
+                complete(pending[i], prediction, batch[i])

@@ -39,6 +39,20 @@ from repro.workload.seeding import derive_seed
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import ForecastConfig
 
+#: width of one forecast time bin (minutes)
+BUCKET_MINUTES = 30.0
+#: a key must recur at least this often to count as forecast-hot
+#: (one-shot ad-hoc queries are never worth pre-warming)
+MIN_KEY_COUNT = 2
+#: a key is due when its predicted next arrival lands within this many
+#: bins of the bin being pre-warmed
+DUE_LOOKAHEAD_BINS = 2
+#: a key idle longer than this multiple of its mean inter-arrival gap
+#: (plus one bin of slack) is retired from the hot-key forecast
+ALIVE_GAP_MULTIPLE = 4.0
+#: bins of lookahead summed into the rebalancer's forecast load
+HORIZON_BINS = 4
+
 __all__ = ["ArrivalRateForecaster", "TemplateMixForecaster", "WorkloadForecast"]
 
 
@@ -53,7 +67,7 @@ class ArrivalRateForecaster:
     """
 
     def __init__(self, config: "ForecastConfig"):
-        self.bin_seconds = config.bucket_minutes * 60.0
+        self.bin_seconds = BUCKET_MINUTES * 60.0
         self.n_bins = max(
             1, int(round(config.period_days * SECONDS_PER_DAY / self.bin_seconds))
         )
@@ -124,10 +138,7 @@ class TemplateMixForecaster:
     """
 
     def __init__(self, config: "ForecastConfig", n_bins: int):
-        self.min_key_count = config.min_key_count
         self.max_keys_tracked = config.max_keys_tracked
-        self.due_lookahead_bins = config.due_lookahead_bins
-        self.alive_gap_multiple = config.alive_gap_multiple
         self.n_bins = n_bins
         #: key -> [count, first_seen_s, last_seen_s]
         self.key_stats: Dict[str, List[float]] = {}
@@ -168,11 +179,11 @@ class TemplateMixForecaster:
         """The keys due to recur in the bin starting at ``bin_start_s``.
 
         A key qualifies when it has recurred (``count >=
-        min_key_count``), is still *alive* (idle for less than
-        ``alive_gap_multiple`` of its mean gap plus one bin — retired
+        MIN_KEY_COUNT``), is still *alive* (idle for less than
+        ``ALIVE_GAP_MULTIPLE`` of its mean gap plus one bin — retired
         dashboard variants forecast nothing), and its predicted next
         arrival — last seen plus mean inter-arrival gap, clamped
-        forward to the bin start — lands within ``due_lookahead_bins``
+        forward to the bin start — lands within ``DUE_LOOKAHEAD_BINS``
         bins.  Soonest-due first, ties broken on the key string, so the
         ranking is independent of observation order.
         """
@@ -180,14 +191,14 @@ class TemplateMixForecaster:
             return []
         due: List[Tuple[float, str]] = []
         for key, (count, first_seen, last_seen) in self.key_stats.items():
-            if count < self.min_key_count:
+            if count < MIN_KEY_COUNT:
                 continue
             gap = (last_seen - first_seen) / (count - 1)
             idle = bin_start_s - last_seen
-            if idle >= self.alive_gap_multiple * gap + bin_seconds:
+            if idle >= ALIVE_GAP_MULTIPLE * gap + bin_seconds:
                 continue
             next_arrival = max(last_seen + gap, bin_start_s)
-            if next_arrival < bin_start_s + self.due_lookahead_bins * bin_seconds:
+            if next_arrival < bin_start_s + DUE_LOOKAHEAD_BINS * bin_seconds:
                 due.append((next_arrival, key))
         due.sort()
         return [key for _, key in due[:k]]
@@ -296,7 +307,7 @@ class WorkloadForecast:
         return self.expected_rate(time_s) <= self.config.trough_fraction * mean
 
     def forecast_load(self, time_s: Optional[float] = None) -> float:
-        """Expected arrivals over the next ``horizon_bins`` bins.
+        """Expected arrivals over the next ``HORIZON_BINS`` bins.
 
         The rebalancer's per-instance load signal.  Defaults to the
         horizon after the last observed arrival; cold forecasters report
@@ -313,7 +324,7 @@ class WorkloadForecast:
         return float(
             sum(
                 self.arrivals.expected_count((base_bin + offset) % self.n_bins)
-                for offset in range(1, self.config.horizon_bins + 1)
+                for offset in range(1, HORIZON_BINS + 1)
             )
         )
 

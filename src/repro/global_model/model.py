@@ -62,17 +62,16 @@ class GlobalModel:
         log_pred = self.gcn.predict_graphs(scaled)
         return self.transform.inverse(log_pred)
 
-    def predict_graphs_with_interval(self, graphs: List[PlanGraph]):
-        """``(seconds, interval_low, interval_high)`` per graph.
+    def _with_interval(self, log_pred: np.ndarray):
+        """``(seconds, interval_low, interval_high)`` of log-space
+        predictions.
 
         The interval comes from the residual-variance head: a constant
         log-space half-width ``z * sqrt(residual_variance)`` around each
         prediction, mapped through the (monotone) inverse transform with
-        the lower bound clamped at zero.  The point column is arithmetic-
-        identical to :meth:`predict_graphs`.
+        the lower bound clamped at zero.  Every step is elementwise, so
+        a row's floats do not depend on the rows beside it.
         """
-        scaled = [self._scale_graph(g) for g in graphs]
-        log_pred = self.gcn.predict_graphs(scaled)
         seconds = self.transform.inverse(log_pred)
         if self.residual_variance <= 0.0:
             return seconds, seconds.copy(), seconds.copy()
@@ -81,22 +80,21 @@ class GlobalModel:
         high = self.transform.inverse(log_pred + half)
         return seconds, low, high
 
+    def predict_graphs_with_interval(self, graphs: List[PlanGraph]):
+        """``(seconds, interval_low, interval_high)`` per graph; the
+        point column is arithmetic-identical to :meth:`predict_graphs`."""
+        scaled = [self._scale_graph(g) for g in graphs]
+        return self._with_interval(self.gcn.predict_graphs(scaled))
+
     def predict(
         self,
         plan: PhysicalPlan,
         instance: InstanceProfile,
         n_concurrent: float = 0.0,
     ) -> Prediction:
-        """Predict one query's exec-time on ``instance``."""
-        graph = record_to_graph(plan, instance, n_concurrent)
-        seconds, low, high = self.predict_graphs_with_interval([graph])
-        return Prediction(
-            exec_time=float(seconds[0]),
-            variance=self.residual_variance,
-            source=PredictionSource.GLOBAL,
-            interval_low=float(low[0]),
-            interval_high=float(high[0]),
-        )
+        """Predict one query's exec-time on ``instance``: the one-plan
+        :meth:`predict_many`."""
+        return self.predict_many([plan], instance, n_concurrent)[0]
 
     def predict_many(
         self,
@@ -104,32 +102,20 @@ class GlobalModel:
         instance: InstanceProfile,
         n_concurrent: float = 0.0,
     ) -> List[Prediction]:
-        """Batched :meth:`predict` — **bit-identical** to the per-plan loop.
+        """Predict many queries' exec-times on ``instance`` in one forward.
 
-        One order-stable GCN forward
-        (:meth:`~repro.ml.gcn.DirectedGCN.predict_graphs_stable`) covers
-        the whole batch instead of one ``GraphBatch`` of 1 per plan;
-        every downstream step (target inverse transform, interval
-        half-width, clamping) is elementwise, so each returned
-        :class:`Prediction` carries exactly the floats the per-plan call
-        would.  This is the serving fast path for global-model fallbacks.
+        The order-stable GCN forward
+        (:meth:`~repro.ml.gcn.DirectedGCN.predict_graphs_stable`) is
+        bit-identical to evaluating each plan alone, and every step after
+        it is elementwise, so each returned :class:`Prediction` carries
+        exactly the floats a one-plan call would, in any batch size or
+        order.
         """
-        if not plans:
-            return []
-        graphs = [
-            record_to_graph(plan, instance, n_concurrent) for plan in plans
+        scaled = [
+            self._scale_graph(record_to_graph(plan, instance, n_concurrent))
+            for plan in plans
         ]
-        scaled = [self._scale_graph(g) for g in graphs]
-        log_pred = self.gcn.predict_graphs_stable(scaled)
-        seconds = self.transform.inverse(log_pred)
-        if self.residual_variance <= 0.0:
-            low = high = seconds
-        else:
-            half = z_for(NOMINAL_CONFIDENCE) * float(
-                np.sqrt(self.residual_variance)
-            )
-            low = np.maximum(self.transform.inverse(log_pred - half), 0.0)
-            high = self.transform.inverse(log_pred + half)
+        seconds, low, high = self._with_interval(self.gcn.predict_graphs_stable(scaled))
         return [
             Prediction(
                 exec_time=float(seconds[i]),

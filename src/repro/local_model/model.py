@@ -172,17 +172,6 @@ class LocalModel:
             raise RuntimeError("local model has no trained ensemble yet")
         return self.frozen().predict_batch(np.asarray(features)[None, :])[0]
 
-    def predict_batch(self, X: np.ndarray) -> List[Prediction]:
-        """Batched :meth:`predict`: one ensemble call for many rows.
-
-        Raises ``RuntimeError`` before the first retrain, like
-        :meth:`predict`.
-        """
-        frozen = self.frozen()
-        if frozen is None:
-            raise RuntimeError("local model has no trained ensemble yet")
-        return frozen.predict_batch(X)
-
     def frozen(self) -> Optional[FrozenLocalModel]:
         """Snapshot of the current ensemble, or ``None`` if not ready.
 

@@ -139,9 +139,6 @@ class BayesianGBMEnsemble:
             interval_high=interval_high,
         )
 
-    def predict_mean(self, X):
-        return self.predict(X).mean
-
     @property
     def is_fitted(self):
         return self.members_ is not None

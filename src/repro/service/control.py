@@ -33,6 +33,10 @@ __all__ = [
     "shard_loads",
 ]
 
+#: live queue depth counts this many op-units of load per queued op
+#: (queued work is *current* pressure; cumulative totals are history)
+QUEUE_DEPTH_WEIGHT = 10.0
+
 
 @dataclass(frozen=True)
 class PlannedMigration:
@@ -91,7 +95,7 @@ def shard_loads(stats: dict, config: Optional[ControlConfig] = None) -> Dict[int
     instances the routing table assigns to the shard."""
     config = config or ControlConfig()
     loads: Dict[int, float] = {
-        row["shard"]: config.queue_depth_weight * float(row.get("queue_depth", 0))
+        row["shard"]: QUEUE_DEPTH_WEIGHT * float(row.get("queue_depth", 0))
         for row in stats["shards"]
         if row["alive"]
     }

@@ -368,22 +368,11 @@ class MicroBatchScheduler:
                     op.future.set_exception(exc)
                 continue
             for op, slot in zip(run, slots):
-                if slot.ready and not (
-                    self.router.collect_cache_hit_local
-                    and slot.components.local_ready
-                    and slot.components.local is None
-                ):
+                if slot.ready:
                     # cache hit or cold-start route: answer immediately
                     stats["n_immediate"] += 1
                     op.future.set_result(slot.components)
                 else:
-                    # Not ready, or a cache hit whose collected local
-                    # answer the router will fill in (by mutation) at the
-                    # flush: resolving early would hand callers — and the
-                    # gateway's pickling response path — an incomplete
-                    # components object.  Component collection is a
-                    # replay/diagnostic mode, so the added latency is
-                    # irrelevant.
                     stats["n_deferred"] += 1
                     pending.append((slot, op.future))
             if len(pending) >= cfg.max_batch_size:

@@ -12,10 +12,11 @@ Two fleets are shared session-wide, each replayed directly once:
 * the *tier fleet* (``fleet_config``, ``traces``, ``direct_replays``,
   ``make_sweeper``): three small instances the gateway, wire, control
   and gateway-fault suites serve, reshard and break;
-* the *scenario matrix* (``scenario_sweep``, ``scenario_sweeper``,
-  ``scenario_references``, ``assert_scenario_parity``): every
-  registered scenario over one shared fleet, the reference every row of
-  ``tests/test_backend_parity.py``, the two service-tier scenario
+* the *scenario matrix* (``scenario_sweep``, ``matrix_global_model``,
+  ``scenario_sweeper``, ``scenario_references``,
+  ``assert_scenario_parity``): every registered scenario over one
+  shared fleet, served with one small global model, the reference every
+  row of ``tests/test_backend_parity.py``, the two service-tier scenario
   checks and the scenario report tests compare against.
 """
 
@@ -25,7 +26,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import settings
 
-from repro.core.config import fast_profile
+from repro.core.config import GlobalModelConfig, fast_profile
+from repro.global_model import GlobalModelTrainer
 from repro.harness import FleetSweeper
 from repro.scenarios import ScenarioRunner, ScenarioSweepConfig, registered_scenarios
 from repro.workload import FleetConfig, FleetGenerator
@@ -45,13 +47,27 @@ FLEET = FleetConfig(seed=3, volume_scale=0.1)
 #: retrain_interval=150) never train the ensemble in five of the seven
 #: built-in scenarios and the matrix would check the cache alone; at
 #: 10 / 60 every scenario retrains and routes predicts to the ensemble.
+#: At the fast profile's uncertainty threshold (1.5) no ensemble answer
+#: escalates to the global model; at 0.8 six of the seven scenarios
+#: send an uncertain local answer to the global model at the flush.
 _FAST = fast_profile()
 SCENARIO_SWEEP = ScenarioSweepConfig(
     seed=5,
     n_instances=2,
     duration_days=1.0,
     volume_scale=0.1,
-    stage=replace(_FAST, local=replace(_FAST.local, min_train_size=10, retrain_interval=60)),
+    stage=replace(
+        _FAST,
+        local=replace(_FAST.local, min_train_size=10, retrain_interval=60),
+        uncertainty_threshold=0.8,
+    ),
+)
+#: the matrix's global model: trained on 3 instances outside the matrix
+#: fleet, small enough to train in well under a second; it answers every
+#: cold-start miss, so every tier ships it to its shards and routes to it
+MATRIX_GLOBAL_FLEET = FleetConfig(seed=5, volume_scale=0.2)
+MATRIX_GLOBAL = GlobalModelConfig(
+    hidden_dim=24, n_conv_layers=2, epochs=2, max_queries_per_instance=80
 )
 
 
@@ -90,15 +106,25 @@ def scenario_sweep():
 
 
 @pytest.fixture(scope="session")
-def scenario_sweeper(make_sweeper):
+def matrix_global_model():
+    gen = FleetGenerator(MATRIX_GLOBAL_FLEET)
+    train = gen.generate_fleet_traces(3, 1.0, start_index=40)
+    return GlobalModelTrainer(MATRIX_GLOBAL).train(train)
+
+
+@pytest.fixture(scope="session")
+def scenario_sweeper(make_sweeper, matrix_global_model):
     """``scenario_sweeper(scenario, **kwargs)``: a sweeper over the
-    scenario's matrix fleet; ``kwargs`` pick the tier (``backend``,
-    ``n_jobs``, ``reshard_hook``)."""
+    scenario's matrix fleet and the matrix global model; ``kwargs``
+    pick the tier (``backend``, ``n_jobs``, ``reshard_hook``)."""
     runner = ScenarioRunner(SCENARIO_SWEEP)
 
     def make(scenario, **kwargs):
         return make_sweeper(
-            fleet_config=runner.fleet_config(scenario), stage_config=SCENARIO_SWEEP.stage, **kwargs
+            fleet_config=runner.fleet_config(scenario),
+            stage_config=SCENARIO_SWEEP.stage,
+            global_model=matrix_global_model,
+            **kwargs,
         )
 
     return make

@@ -7,8 +7,10 @@ the socket, not a reshard in the middle of the replay.  Each registered
 scenario is replayed directly once per session (``scenario_references``
 in ``conftest.py``: seed 5, volume 0.1, 2 instances x 1 day, under
 ``fast_profile()`` with the local model's ``min_train_size=10`` and
-``retrain_interval=60``), and every row below must reproduce those
-replays exactly: arrays and ``stage_stats`` accounting.  The service
+``retrain_interval=60``, an uncertainty threshold of 0.8, and one
+small global model that answers the cold-start misses and the uncertain
+local answers), and every row below must reproduce those replays
+exactly: arrays and ``stage_stats`` accounting.  The service
 tier's rows live beside the service and scenario suites, at the two knob
 settings those suites pin: ``test_service.py::TestScenarioServingParity``
 (2 clients, ``max_batch_size=6``) and
@@ -76,15 +78,27 @@ def test_tier_matches_direct(index, row, assert_scenario_parity):
 
 
 def test_references_exercise_cache_and_ensemble(scenario_references):
-    """Every reference hits the cache, retrains the local ensemble and
-    routes predicts to it, so no row can pass as a cache-only check."""
+    """Every reference hits the cache, retrains the local ensemble,
+    routes predicts to it and routes predicts to the global model, so
+    no row can pass as a check of only some routes."""
     starved = {}
     for name, replays in scenario_references.items():
         counts = {
             "cache_hits": sum(r.stage_stats["cache_hits"] for r in replays),
             "local": sum(r.stage_stats["source_counts"]["local"] for r in replays),
+            "global": sum(r.stage_stats["source_counts"]["global"] for r in replays),
             "n_local_retrains": sum(r.stage_stats["n_local_retrains"] for r in replays),
         }
         if min(counts.values()) < 1:
             starved[name] = counts
     assert not starved, f"scenarios whose reference skips a route: {starved}"
+
+
+def test_matrix_escalates_uncertain_local_answers(scenario_references):
+    """The flush's global fallback (an uncertain local answer sent to
+    the global model) runs in the references, so every row checks it."""
+    escalated = {
+        name: sum(int(((r.stage_source == "global") & r.uncertain).sum()) for r in replays)
+        for name, replays in scenario_references.items()
+    }
+    assert sum(escalated.values()) >= 1, escalated

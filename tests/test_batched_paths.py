@@ -1,23 +1,25 @@
 """Parity tests for the batched hot paths.
 
-The hot-path overhaul batches three per-op costs — the router's cache
-probe (``ExecTimeCache.lookup_predictions`` + ``BatchRouter.route_batch``),
-the scheduler's per-queue-hop transport envelopes, and the global
-model's GCN forward (``DirectedGCN.predict_graphs_stable`` /
-``GlobalModel.predict_many``) — all under the repo's determinism
-contract: batching is a pure performance knob, invisible bit-for-bit in
-results *and* cache/counter accounting.  This suite pins each batched
-implementation against its per-op reference directly:
+Every Stage component has one implementation in ``src/``: the batched
+entry (``ExecTimeCache.lookup_predictions``, ``BatchRouter.route_batch``,
+``GlobalModel.predict_many`` and ``FrozenLocalModel.predict_batch``);
+the one-row calls are one-row batches.  This suite holds each batched
+entry to an independent per-record reference, bit for bit, in results
+*and* cache/counter accounting:
 
-- ``route_batch`` vs a per-record ``route`` loop, for every registered
-  scenario's workload (the envelope-batched transports are held to the
-  same contract end-to-end by the gateway/wire scenario parity suites);
+- ``route_batch`` vs :func:`route_per_record`, the per-record routing
+  oracle kept here, for every registered scenario's workload (the
+  envelope-batched transports are held to the same contract end to end
+  by the backend-parity matrix);
 - ``lookup_predictions`` (and the precomputed per-entry predictions it
-  reads) vs sequential counted lookups and freshly computed Welford
-  intervals;
+  reads) vs uncounted per-key probes with the counters moved by hand,
+  and freshly computed Welford intervals;
+- ``predict_many`` vs per-plan ``predict_graphs_with_interval``;
 - the order-stable batched GCN forward vs one-graph-at-a-time forwards,
   under hypothesis-driven batch-size and order permutations.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -26,10 +28,12 @@ from hypothesis import strategies as st
 
 from repro.cache import ExecTimeCache
 from repro.core.config import GlobalModelConfig, StageConfig, fast_profile
-from repro.core.stage import BatchRouter, StagePredictor
+from repro.core.interfaces import Prediction, PredictionSource
+from repro.core.stage import BatchRouter, RoutedComponents, RoutedSlot, StagePredictor
 from repro.global_model import GlobalModelTrainer
+from repro.global_model.featurization import record_to_graph
 from repro.ml.gcn import DirectedGCN, GraphBatch, PlanGraph, _row_stable_width
-from repro.ml.intervals import NOMINAL_CONFIDENCE, welford_interval
+from repro.ml.intervals import NOMINAL_CONFIDENCE, welford_interval, z_for
 from repro.scenarios import registered_scenarios
 from repro.workload import FleetConfig, FleetGenerator
 
@@ -51,6 +55,71 @@ def _windows(records, sizes=WINDOW_SIZES):
         i += 1
 
 
+def counted_peek(cache, key):
+    """One counted cache probe without the batched entry: the uncounted
+    ``peek_prediction`` plus the hit or miss it counts."""
+    prediction = cache.peek_prediction(key)
+    if prediction is None:
+        cache.misses += 1
+    else:
+        cache.hits += 1
+    return prediction
+
+
+def global_per_plan(model, plan, instance):
+    """One global answer without the batched entry: a one-graph
+    ``predict_graphs_with_interval`` (plain, not order-stable, forward)."""
+    seconds, low, high = model.predict_graphs_with_interval([record_to_graph(plan, instance, 0.0)])
+    return Prediction(
+        exec_time=float(seconds[0]),
+        variance=model.residual_variance,
+        source=PredictionSource.GLOBAL,
+        interval_low=float(low[0]),
+        interval_high=float(high[0]),
+    )
+
+
+def route_per_record(router, record):
+    """The per-record routing oracle: route one query the way
+    ``router.route_batch([record])`` must, without calling it.
+
+    The cache is probed with :func:`counted_peek`, a cold start is
+    answered by :func:`global_per_plan` (or the running-median default),
+    and an ensemble-bound route — or, with component collection on, a
+    cache hit — joins the router's window and completes at its flush.
+    """
+    stage = router.stage
+    local_ready = stage.local.is_ready
+    local_generation = stage.local.n_retrains
+
+    def routed(prediction, cache=None):
+        stage._count_routed(prediction)
+        return RoutedSlot(
+            RoutedComponents(
+                prediction=prediction,
+                cache=cache,
+                local=None,
+                local_ready=local_ready,
+                local_generation=local_generation,
+            )
+        )
+
+    hit = counted_peek(stage.cache, stage.cache.key_for(record.features))
+    if hit is not None:
+        if not (router.collect_cache_hit_local and local_ready):
+            return routed(hit, hit)
+        stage._count_routed(hit)
+    elif not local_ready:
+        if stage.global_model is None:
+            return routed(
+                Prediction(exec_time=stage._default.value, source=PredictionSource.DEFAULT)
+            )
+        return routed(global_per_plan(stage.global_model, record.plan, stage.instance))
+    slot = RoutedSlot()
+    router._defer(slot, record, cache=hit)
+    return slot
+
+
 def _make_stage(trace, global_model=None, config=None):
     return StagePredictor(
         trace.instance,
@@ -60,26 +129,29 @@ def _make_stage(trace, global_model=None, config=None):
     )
 
 
-def _drive(stage, records, batched: bool):
+def _drive(stage, records, batched: bool, collect: bool = False):
     """Replay predict-window/observe-window rounds through one router.
 
     Both drivers apply the exact same op stream — a window of predicts,
     a flush, then that window's observes — differing only in whether the
-    predicts go through ``route_batch`` or a per-record ``route`` loop.
+    predicts go through ``route_batch`` or the :func:`route_per_record`
+    oracle.  Returns each slot's components and whether the slot was
+    ready before the flush (a slot is ready exactly when complete).
     """
-    router = BatchRouter(stage)
-    components = []
+    router = BatchRouter(stage, collect_cache_hit_local=collect)
+    components, ready = [], []
     for window in _windows(records):
         window = list(window)
         if batched:
             slots = router.route_batch(window)
         else:
-            slots = [router.route(record) for record in window]
+            slots = [route_per_record(router, record) for record in window]
+        ready.extend(slot.ready for slot in slots)
         router.flush()
         components.extend(slot.components for slot in slots)
         for record in window:
             router.observe(record)
-    return components
+    return components, ready
 
 
 def _accounting(stage):
@@ -94,6 +166,13 @@ def _accounting(stage):
     )
 
 
+def _assert_drives_identical(a, b):
+    """Two :func:`_drive` outputs: the same components and the same
+    slots ready before the flush."""
+    _assert_components_identical(a[0], b[0])
+    assert a[1] == b[1]
+
+
 def _assert_components_identical(a, b):
     assert len(a) == len(b)
     for left, right in zip(a, b):
@@ -105,12 +184,14 @@ def _assert_components_identical(a, b):
         assert (left.local is None) == (right.local is None)
         if left.local is not None:
             assert left.local.exec_time == right.local.exec_time
+            assert left.local.interval_low == right.local.interval_low
+            assert left.local.interval_high == right.local.interval_high
         assert left.local_ready == right.local_ready
         assert left.local_generation == right.local_generation
 
 
 # ---------------------------------------------------------------------------
-# route_batch vs per-op route, across every registered scenario
+# route_batch vs the per-record oracle, across every registered scenario
 # ---------------------------------------------------------------------------
 class TestRouteBatchParity:
     @pytest.mark.parametrize(
@@ -124,34 +205,28 @@ class TestRouteBatchParity:
         stage_a, stage_b = _make_stage(trace), _make_stage(trace)
         per_op = _drive(stage_a, records, batched=False)
         batched = _drive(stage_b, records, batched=True)
-        _assert_components_identical(per_op, batched)
+        _assert_drives_identical(per_op, batched)
         assert _accounting(stage_a) == _accounting(stage_b)
 
     def test_collect_cache_hit_local_mode_identical(self):
         """Replay component collection defers extra (uncounted) local
         inference on cache hits — the batched path must defer exactly
-        the same work."""
+        the same work, and leave those slots unready until the flush
+        completes them.  Instance 3 trains its ensemble and then hits
+        the cache, so collection runs."""
         gen = FleetGenerator(FleetConfig(seed=SEED, volume_scale=VOLUME))
-        trace = gen.generate_trace(gen.sample_instance(1), DURATION)
+        trace = gen.generate_trace(gen.sample_instance(3), DURATION)
         records = [trace[i] for i in range(len(trace))]
-        stages = [_make_stage(trace), _make_stage(trace)]
-        outputs = []
-        for stage, batched in zip(stages, (False, True)):
-            router = BatchRouter(stage, collect_cache_hit_local=True)
-            components = []
-            for window in _windows(records):
-                window = list(window)
-                if batched:
-                    slots = router.route_batch(window)
-                else:
-                    slots = [router.route(record) for record in window]
-                router.flush()
-                components.extend(slot.components for slot in slots)
-                for record in window:
-                    router.observe(record)
-            outputs.append(components)
-        _assert_components_identical(outputs[0], outputs[1])
-        assert _accounting(stages[0]) == _accounting(stages[1])
+        stage_a, stage_b = _make_stage(trace), _make_stage(trace)
+        per_op = _drive(stage_a, records, batched=False, collect=True)
+        batched = _drive(stage_b, records, batched=True, collect=True)
+        _assert_drives_identical(per_op, batched)
+        assert _accounting(stage_a) == _accounting(stage_b)
+        components, ready = batched
+        collected = [i for i, c in enumerate(components) if c.cache is not None and c.local_ready]
+        assert collected, "the trace must hit the cache once the ensemble is ready"
+        for i in collected:
+            assert not ready[i] and components[i].local is not None
 
 
 # ---------------------------------------------------------------------------
@@ -187,22 +262,48 @@ class TestGlobalFallbackParity:
         stage_b = _make_stage(trace, global_model=global_model, config=config)
         per_op = _drive(stage_a, records, batched=False)
         batched = _drive(stage_b, records, batched=True)
-        _assert_components_identical(per_op, batched)
+        _assert_drives_identical(per_op, batched)
         assert _accounting(stage_a) == _accounting(stage_b)
-        from repro.core.interfaces import PredictionSource
-
         assert stage_a.source_counts[PredictionSource.GLOBAL] > 0
 
     def test_predict_many_bitwise_equals_predict_loop(self, global_fleet):
+        """``predict_many`` — and ``predict``, its one-plan batch — must
+        carry exactly the floats of the per-plan oracle."""
         global_model, trace = global_fleet
         plans = [trace[i].plan for i in range(min(len(trace), 60))]
         many = global_model.predict_many(plans, trace.instance, n_concurrent=0.0)
         for prediction, plan in zip(many, plans):
-            want = global_model.predict(plan, trace.instance, n_concurrent=0.0)
-            assert prediction.exec_time == want.exec_time
-            assert prediction.interval_low == want.interval_low
-            assert prediction.interval_high == want.interval_high
-            assert prediction.source == want.source
+            want = global_per_plan(global_model, plan, trace.instance)
+            one = global_model.predict(plan, trace.instance, n_concurrent=0.0)
+            for got in (prediction, one):
+                assert got.exec_time == want.exec_time
+                assert got.variance == want.variance
+                assert got.interval_low == want.interval_low
+                assert got.interval_high == want.interval_high
+                assert got.source == want.source
+
+    def test_interval_matches_reference_arithmetic(self, global_fleet):
+        """The one interval helper behind ``predict_graphs_with_interval``
+        and ``predict_many`` must carry exactly the floats of the
+        residual-variance algebra written out here, with and without a
+        residual-variance head."""
+        global_model, trace = global_fleet
+        flat = copy.copy(global_model)
+        flat.residual_variance = 0.0
+        graphs = [record_to_graph(r.plan, trace.instance, 0.0) for r in list(trace)[:20]]
+        for model in (global_model, flat):
+            log_pred = model.gcn.predict_graphs([model._scale_graph(g) for g in graphs])
+            seconds = model.transform.inverse(log_pred)
+            if model.residual_variance > 0.0:
+                half = z_for(NOMINAL_CONFIDENCE) * float(np.sqrt(model.residual_variance))
+                low = np.maximum(model.transform.inverse(log_pred - half), 0.0)
+                high = model.transform.inverse(log_pred + half)
+            else:
+                low = high = seconds
+            got = model.predict_graphs_with_interval(graphs)
+            for column, want in zip(got, (seconds, low, high)):
+                assert (column == want).all()
+        assert global_model.residual_variance > 0.0
 
     def test_predict_many_empty(self, global_fleet):
         global_model, trace = global_fleet
@@ -228,7 +329,7 @@ class TestVectorizedCacheParity:
                 keys[int(rng.integers(len(keys)))]
                 for _ in range(int(rng.integers(1, 9)))
             ]
-            want = [a.lookup_prediction(key) for key in probe]
+            want = [counted_peek(a, key) for key in probe]
             got = b.lookup_predictions(probe)
             for w, g in zip(want, got):
                 assert (w is None) == (g is None)

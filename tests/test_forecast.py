@@ -253,17 +253,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"bucket_minutes": 0},
             {"period_days": -1},
             {"top_templates": -1},
-            {"min_key_count": 0},
-            {"due_lookahead_bins": 0},
-            {"alive_gap_multiple": 0.0},
             {"archive_capacity": -1},
             {"trough_fraction": 1.5},
             {"max_retrain_defer_bins": 0},
             {"min_history": -1},
-            {"horizon_bins": 0},
             {"max_fit_events": 0},
         ],
     )

@@ -94,7 +94,7 @@ class TestPrediction:
         to looping :meth:`predict` — the replay harness relies on this
         to defer component inference without changing any array."""
         model, X, _ = trained
-        batch = model.predict_batch(X[:50])
+        batch = model.frozen().predict_batch(X[:50])
         assert len(batch) == 50
         for i, bp in enumerate(batch):
             lp = model.predict(X[i])
@@ -105,10 +105,12 @@ class TestPrediction:
             assert bp.source == PredictionSource.LOCAL
 
     def test_predict_batch_requires_trained_model(self):
+        """Before the first retrain there is no frozen ensemble to batch
+        against, and the one-row predict raises."""
         model = LocalModel(_fast_config())
-        with pytest.raises(RuntimeError):
-            model.predict_batch(np.zeros((2, 6)))
         assert model.frozen() is None
+        with pytest.raises(RuntimeError):
+            model.predict(np.zeros(6))
 
     def test_frozen_snapshot_survives_retrain(self):
         """A frozen snapshot keeps answering from its own ensemble even

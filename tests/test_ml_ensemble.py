@@ -82,13 +82,9 @@ class TestUncertaintyDecomposition:
 
 
 class TestAccuracy:
-    def test_predict_mean_matches_predict(self, fitted_ensemble):
-        ens, X, _ = fitted_ensemble
-        np.testing.assert_allclose(ens.predict_mean(X[:20]), ens.predict(X[:20]).mean)
-
     def test_tracks_target(self, fitted_ensemble):
         ens, X, y = fitted_ensemble
-        pred = ens.predict_mean(X)
+        pred = ens.predict(X).mean
         assert np.corrcoef(pred, y)[0, 1] > 0.9
 
     def test_is_fitted_flag(self):

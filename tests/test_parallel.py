@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import GlobalModelConfig, fast_profile
-from repro.core.stage import RoutedComponents, StagePredictor
+from repro.core.stage import BatchRouter, RoutedComponents, StagePredictor
 from repro.global_model import GlobalModelTrainer
 from repro.harness import (
     FleetSweeper,
@@ -25,17 +25,22 @@ from repro.harness.replay import assemble_replay
 from repro.workload import FleetConfig, FleetGenerator
 
 from replay_parity import assert_replays_identical
+from test_batched_paths import route_per_record
 
 
 def replay_per_query(trace, config):
-    """Reference replay the batched path must match: per-query routing,
-    probing the cache again — via the non-mutating peek, so the router's
-    lookup stays the only counted one — and re-running the local
-    ensemble on every local-ready query."""
+    """Reference replay the batched path must match: per-query routing
+    through the per-record oracle (``route_per_record``, flushed after
+    every query), probing the cache again — via the non-mutating peek,
+    so the router's lookup stays the only counted one — and re-running
+    the local ensemble on every local-ready query."""
     stage = StagePredictor(trace.instance, config=config)
+    router = BatchRouter(stage)
     components = []
     for record in trace:
-        routed = stage.predict_with_components(record)
+        slot = route_per_record(router, record)
+        router.flush()
+        routed = slot.components
         components.append(
             RoutedComponents(
                 prediction=routed.prediction,

@@ -33,6 +33,7 @@ from repro.service import (
 from repro.workload import FleetConfig, FleetGenerator
 
 from replay_parity import assert_replays_identical
+from test_batched_paths import route_per_record
 
 
 @pytest.fixture(scope="module")
@@ -149,10 +150,13 @@ class TestBatchRouter:
     def test_flush_cadence_invariance(self, trace, flush_every):
         cfg = fast_profile()
         sequential = StagePredictor(trace.instance, config=cfg, random_state=0)
+        oracle = BatchRouter(sequential)
         seq_preds = []
         for record in trace:
-            seq_preds.append(sequential.predict_with_components(record))
-            sequential.observe(record)
+            slot = route_per_record(oracle, record)
+            oracle.flush()
+            seq_preds.append(slot.components)
+            oracle.observe(record)
 
         batched = StagePredictor(trace.instance, config=cfg, random_state=0)
         router = BatchRouter(batched)
