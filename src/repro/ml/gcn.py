@@ -25,7 +25,7 @@ from typing import List
 
 import numpy as np
 
-from .nn import MLP, Adam, Dropout, Linear, ReLU, huber_loss
+from .nn import MLP, Adam, Dropout, Linear, Module, ReLU, huber_loss
 
 __all__ = ["PlanGraph", "GraphBatch", "DirectedGCN"]
 
@@ -121,12 +121,14 @@ class GraphBatch:
         return self.roots.shape[0]
 
 
-class _GraphConvLayer:
+class _GraphConvLayer(Module):
     """One directed message-passing layer.
 
     ``H' = relu(H @ W_self + aggregate_children(H) @ W_msg + b)`` with an
     additive residual connection when dimensions match.
     """
+
+    _CACHES = ("_cache",)
 
     def __init__(self, in_dim, out_dim, rng, dropout=0.0):
         self.self_lin = Linear(in_dim, out_dim, rng)
@@ -163,9 +165,17 @@ class _GraphConvLayer:
     def parameters(self):
         return self.self_lin.parameters() + self.msg_lin.parameters()
 
+    def _children(self):
+        return (self.self_lin, self.msg_lin, self.act, self.dropout)
 
-class DirectedGCN:
+
+class DirectedGCN(Module):
     """The full global-model network: embed -> L conv layers -> head.
+
+    Only :meth:`forward` / :meth:`backward` leave activations behind;
+    :meth:`fit` and the ``predict_*`` entries :meth:`~Module.release`
+    them before returning, so a trained model holds (and pickles) its
+    weights alone.
 
     Parameters
     ----------
@@ -182,6 +192,8 @@ class DirectedGCN:
     random_state:
         Seed for initialization and dropout masks.
     """
+
+    _CACHES = ("_cache",)
 
     def __init__(
         self,
@@ -217,6 +229,9 @@ class DirectedGCN:
         self._cache = None
 
     # ------------------------------------------------------------------
+    def _children(self):
+        return (self.embed, *self.convs, self.head)
+
     def parameters(self):
         params = list(self.embed.parameters())
         for conv in self.convs:
@@ -319,6 +334,7 @@ class DirectedGCN:
         if best_params is not None:
             for p, v in zip(self.parameters(), best_params):
                 p.value = v
+        self.release()
         return history
 
     def predict_graphs(self, graphs: List[PlanGraph], batch_size=256):
@@ -328,6 +344,7 @@ class DirectedGCN:
             chunk = graphs[start : start + batch_size]
             batch = GraphBatch(chunk, aggregation=self.aggregation)
             preds[start : start + len(chunk)] = self.forward(batch, training=False)
+        self.release()
         return preds
 
     def _forward_solo(self, graph: PlanGraph) -> float:
@@ -362,13 +379,10 @@ class DirectedGCN:
         evaluation: always correct, just not batched.
         """
         preds = np.empty(len(graphs))
-        if not _row_stable_width(self.hidden_dim) or self.n_node_features < 2:
-            for i, g in enumerate(graphs):
-                preds[i] = self._forward_solo(g)
-            return preds
+        stackable = _row_stable_width(self.hidden_dim) and self.n_node_features >= 2
         multi = []
         for i, g in enumerate(graphs):
-            if g.node_features.shape[0] >= 2:
+            if stackable and g.node_features.shape[0] >= 2:
                 multi.append(i)
             else:
                 preds[i] = self._forward_solo(g)
@@ -382,6 +396,7 @@ class DirectedGCN:
             z = np.concatenate([H[batch.roots], batch.sys_features], axis=1)
             for row, i in enumerate(multi):
                 preds[i] = self.head.forward(z[row : row + 1], False)[0, 0]
+        self.release()
         return preds
 
     def byte_size(self):

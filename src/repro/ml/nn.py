@@ -4,14 +4,26 @@ The paper's global model is a PyTorch GCN; this module provides the layers
 (:class:`Linear`, :class:`ReLU`, :class:`Dropout`, :class:`MLP`) and the
 :class:`Adam` optimizer that :mod:`repro.ml.gcn` composes into the same
 architecture.  Everything keeps explicit forward caches so backward passes
-are plain chain-rule code.
+are plain chain-rule code; those caches are scratch, never state: a
+pickle carries the weights alone (:class:`Parameter` gradients come back
+as zeros) and :meth:`Module.release` drops them from a live model.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Parameter", "Linear", "ReLU", "Dropout", "MLP", "Adam", "mse_loss", "huber_loss"]
+__all__ = [
+    "Parameter",
+    "Module",
+    "Linear",
+    "ReLU",
+    "Dropout",
+    "MLP",
+    "Adam",
+    "mse_loss",
+    "huber_loss",
+]
 
 
 class Parameter:
@@ -30,14 +42,49 @@ class Parameter:
     def shape(self):
         return self.value.shape
 
+    def __getstate__(self):
+        return self.value
+
+    def __setstate__(self, value):
+        self.value = value
+        self.grad = np.zeros_like(value)
+
+
+class Module:
+    """Base of the layers: what ``forward`` keeps for ``backward``.
+
+    ``_CACHES`` names the attributes a forward pass fills in for the
+    matching backward; ``_children`` lists the sub-modules.
+    :meth:`release` drops the caches down the whole tree, and a pickle
+    never carries them, so a trained network pickles as its weights.
+    """
+
+    _CACHES: tuple = ()
+
+    def _children(self):
+        return ()
+
+    def release(self):
+        for name in self._CACHES:
+            setattr(self, name, None)
+        for child in self._children():
+            child.release()
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.update(dict.fromkeys(self._CACHES))
+        return state
+
 
 def _glorot(rng, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-class Linear:
+class Linear(Module):
     """Affine layer ``y = x @ W + b``."""
+
+    _CACHES = ("_x",)
 
     def __init__(self, in_dim, out_dim, rng):
         self.W = Parameter(_glorot(rng, in_dim, out_dim))
@@ -57,8 +104,10 @@ class Linear:
         return [self.W, self.b]
 
 
-class ReLU:
+class ReLU(Module):
     """Rectified linear activation."""
+
+    _CACHES = ("_mask",)
 
     def __init__(self):
         self._mask = None
@@ -74,8 +123,10 @@ class ReLU:
         return []
 
 
-class Dropout:
+class Dropout(Module):
     """Inverted dropout; identity when ``training`` is False."""
+
+    _CACHES = ("_mask",)
 
     def __init__(self, rate, rng):
         if not 0.0 <= rate < 1.0:
@@ -101,7 +152,7 @@ class Dropout:
         return []
 
 
-class MLP:
+class MLP(Module):
     """Stack of ``Linear -> ReLU -> Dropout`` blocks with a linear output.
 
     ``dims`` is the full dimension chain, e.g. ``[33, 64, 64, 1]``.
@@ -131,6 +182,9 @@ class MLP:
         for layer in reversed(self.layers):
             dout = layer.backward(dout)
         return dout
+
+    def _children(self):
+        return self.layers
 
     def parameters(self):
         params = []

@@ -1,5 +1,7 @@
 """Tests for the global model: featurization, trainer, transfer."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from repro.global_model import (
     system_features,
 )
 from repro.workload import FleetConfig, FleetGenerator
+
+from test_ml_gcn import held_caches
 
 
 @pytest.fixture(scope="module")
@@ -153,8 +157,6 @@ class TestSerialization:
     def test_round_trip_survives_pickle(self, trained_model, fleet, tmp_path):
         """The loaded artifact must also pickle cleanly — that is how
         the pool initializer ships it to worker processes."""
-        import pickle
-
         _, __, held_out = fleet
         graphs = records_to_graphs(list(held_out)[:10], held_out.instance)
         path = str(tmp_path / "global_model.npz")
@@ -174,3 +176,33 @@ class TestSerialization:
         np.savez_compressed(path, **arrays)
         with pytest.raises(ValueError, match="format version"):
             load_global_model(path)
+
+
+class TestWeightsOnly:
+    """A trained model is its weights, scalers and residual head: no
+    activations, masks or batch caches outlive ``fit`` or a predict, and
+    a pickle (how every tier ships the model to its shards) carries
+    nothing else."""
+
+    def test_trained_model_holds_no_caches(self, trained_model, fleet):
+        _, __, held_out = fleet
+        trained_model.predict_many([r.plan for r in list(held_out)[:20]], held_out.instance)
+        assert held_caches(trained_model.gcn) == []
+
+    def test_pickle_is_weights_scalers_and_head(self, trained_model):
+        assert len(pickle.dumps(trained_model)) <= trained_model.byte_size() + 16 * 1024
+
+    def test_pickle_round_trip_predicts_bit_identically(self, trained_model, fleet):
+        _, __, held_out = fleet
+        plans = [r.plan for r in list(held_out)[:40]]
+        loaded = pickle.loads(pickle.dumps(trained_model))
+        expected = trained_model.predict_many(plans, held_out.instance)
+        assert loaded.predict_many(plans, held_out.instance) == expected
+        assert loaded.residual_variance == trained_model.residual_variance
+
+    def test_unpickled_gradients_are_zero(self, trained_model):
+        loaded = pickle.loads(pickle.dumps(trained_model))
+        for original, param in zip(trained_model.gcn.parameters(), loaded.gcn.parameters()):
+            np.testing.assert_array_equal(param.value, original.value)
+            assert param.grad.shape == param.value.shape
+            assert not param.grad.any()

@@ -1,5 +1,7 @@
 """Tests for the directed GCN over plan graphs."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,43 @@ class TestDirectedGCN:
     def test_byte_size_positive(self):
         gcn = DirectedGCN(4, 2, hidden_dim=8, n_conv_layers=1, random_state=0)
         assert gcn.byte_size() > 0
+
+
+def held_caches(module):
+    """Every forward cache in ``module``'s tree that is not ``None``."""
+    held = [(type(module).__name__, n) for n in module._CACHES if getattr(module, n) is not None]
+    for child in module._children():
+        held.extend(held_caches(child))
+    return held
+
+
+class TestWeightsOnly:
+    def test_fit_leaves_weights_alone(self):
+        graphs = [_random_tree(5, seed=i) for i in range(80)]
+        targets = np.random.default_rng(1).normal(size=80)
+        gcn = DirectedGCN(4, 2, hidden_dim=8, n_conv_layers=2, dropout=0.2, random_state=0)
+        gcn.fit(graphs, targets, epochs=3)
+        assert held_caches(gcn) == []
+        gcn.predict_graphs(graphs)
+        gcn.predict_graphs_stable(graphs)
+        assert held_caches(gcn) == []
+
+    def test_pickle_drops_caches_and_gradients(self):
+        gcn = DirectedGCN(4, 2, hidden_dim=8, n_conv_layers=2, dropout=0.2, random_state=0)
+        batch = GraphBatch([_random_tree(6, seed=i) for i in range(4)])
+        pred = gcn.forward(batch, training=True)
+        gcn.backward(np.ones_like(pred))
+        assert held_caches(gcn)  # a raw forward keeps what backward reads
+        assert any(p.grad.any() for p in gcn.parameters())
+        loaded = pickle.loads(pickle.dumps(gcn))
+        assert held_caches(loaded) == []
+        for original, param in zip(gcn.parameters(), loaded.parameters()):
+            np.testing.assert_array_equal(param.value, original.value)
+            assert not param.grad.any()
+        graphs = [_random_tree(n, seed=n) for n in (1, 3, 7)]
+        np.testing.assert_array_equal(
+            loaded.predict_graphs_stable(graphs), gcn.predict_graphs_stable(graphs)
+        )
+        # the live network still backpropagates after the pickle
+        gcn.forward(batch, training=True)
+        gcn.backward(np.ones_like(pred))

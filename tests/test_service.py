@@ -12,7 +12,11 @@ are covered individually.
 """
 
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +25,7 @@ import pytest
 
 from repro.core.config import GlobalModelConfig, ReplayBackend, ServiceConfig, fast_profile
 from repro.core.stage import BatchRouter, StagePredictor
-from repro.global_model import GlobalModelTrainer
+from repro.global_model import GlobalModelTrainer, save_global_model
 from repro.harness import replay_instance
 from repro.scenarios import registered_scenarios
 from repro.service import (
@@ -533,3 +537,62 @@ class TestModelRegistry:
         pickle.dump(payload, open(state_path, "wb"))
         with pytest.raises(ValueError, match="version"):
             PredictionService.restore(registry, "v-test")
+
+
+#: a fresh interpreter that imports the serving package and answers one
+#: interval from each Stage component, the global model loaded from the
+#: ``.npz`` artifact the way a restored tier loads it
+_LEAN_SERVING_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    import numpy as np
+
+    import repro.service  # noqa: F401  (everything a serving process imports)
+    from repro.cache import ExecTimeCache
+    from repro.core.config import fast_profile
+    from repro.global_model import load_global_model
+    from repro.local_model import LocalModel
+    from repro.workload import FleetConfig, FleetGenerator
+
+    def widened(prediction):
+        return prediction.interval_low < prediction.exec_time < prediction.interval_high
+
+    cache = ExecTimeCache()
+    for seconds in (1.0, 1.5, 2.5):
+        cache.observe("q", seconds)
+    assert widened(cache.lookup_prediction("q"))
+
+    rng = np.random.default_rng(0)
+    local = LocalModel(fast_profile().local)
+    X = rng.random((60, 6))
+    for row in X:
+        local.add_example(row, 1.0 + 10.0 * float(row[0]))
+    assert local.is_ready and widened(local.predict(X[0]))
+
+    gen = FleetGenerator(FleetConfig(seed=3, volume_scale=0.1))
+    trace = gen.generate_trace(gen.sample_instance(0), 0.1)
+    model = load_global_model(sys.argv[1])
+    plans = [record.plan for record in trace.records[:8]]
+    assert all(widened(p) for p in model.predict_many(plans, trace.instance))
+
+    leaked = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    assert not leaked, leaked[:5]
+    """
+)
+
+
+class TestLeanServingProcess:
+    def test_serving_path_never_imports_scipy(self, global_model, tmp_path):
+        path = str(tmp_path / "global.npz")
+        save_global_model(global_model, path)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", _LEAN_SERVING_SCRIPT, path],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
