@@ -16,11 +16,9 @@ Run:  python examples/what_if_scaling.py
 
 import dataclasses
 
-import numpy as np
-
 from repro import FleetConfig, FleetGenerator
 from repro.core.config import GlobalModelConfig
-from repro.global_model import GlobalModelTrainer, record_to_graph
+from repro.global_model import GlobalModelTrainer
 from repro.harness.reporting import render_simple_table
 
 
@@ -47,8 +45,7 @@ def main() -> None:
         row = [f"q{record.query_id} ({record.exec_time:.0f}s actual)"]
         for n_nodes in node_options:
             hypothetical = dataclasses.replace(instance, n_nodes=n_nodes)
-            graph = record_to_graph(record.plan, hypothetical)
-            pred = float(model.predict_graphs([graph])[0])
+            pred = model.predict(record.plan, hypothetical).exec_time
             row.append(f"{pred:.1f}s")
         rows.append(row)
 

@@ -80,29 +80,6 @@ class Prediction:
         """Width of the nominal-confidence interval, in seconds."""
         return self.interval_high - self.interval_low
 
-    def interval(self, confidence: float = 0.9) -> tuple:
-        """Confidence interval for the exec-time, in seconds.
-
-        The paper motivates intervals for downstream tasks (automatic
-        materialized views, cluster scaling need "a confidence interval
-        to ensure good worst-case behavior", Section 2.1).  Models here
-        regress ``log1p(seconds)`` with Gaussian uncertainty, so the
-        interval is lognormal: ``expm1(mu +- z * sigma)``.  Point
-        predictions (zero variance) collapse to the estimate itself.
-        """
-        import numpy as np
-
-        from repro.ml.intervals import z_for
-
-        z = z_for(confidence)
-        if self.variance <= 0.0:
-            return (self.exec_time, self.exec_time)
-        mu = np.log1p(max(self.exec_time, 0.0))
-        spread = z * self.std
-        low = float(np.expm1(max(mu - spread, 0.0)))
-        high = float(np.expm1(min(mu + spread, 50.0)))
-        return (low, high)
-
 
 class Predictor(abc.ABC):
     """Online exec-time predictor protocol."""

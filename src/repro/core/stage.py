@@ -351,9 +351,10 @@ class BatchRouter:
     - the "short or certain" rule and the global-model fallback complete
       at flush time; the global model is frozen, and its batched forward
       (:meth:`~repro.global_model.GlobalModel.predict_many`, built on the
-      order-stable :meth:`~repro.ml.gcn.DirectedGCN.predict_graphs_stable`)
-      is bit-identical to per-query evaluation, so deferral — and the
-      window's batch boundaries — change no arithmetic there either.
+      order-stable :meth:`~repro.ml.gcn.DirectedGCN.predict_graphs`, the
+      GCN's one inference path) is bit-identical to per-query
+      evaluation, so deferral — and the window's batch boundaries —
+      change no arithmetic there either.
     """
 
     def __init__(self, stage: StagePredictor, collect_cache_hit_local: bool = False):

@@ -56,36 +56,6 @@ class GlobalModel:
             )[0],
         )
 
-    def predict_graphs(self, graphs: List[PlanGraph]) -> np.ndarray:
-        """Vectorized inference: exec-time in seconds per graph."""
-        scaled = [self._scale_graph(g) for g in graphs]
-        log_pred = self.gcn.predict_graphs(scaled)
-        return self.transform.inverse(log_pred)
-
-    def _with_interval(self, log_pred: np.ndarray):
-        """``(seconds, interval_low, interval_high)`` of log-space
-        predictions.
-
-        The interval comes from the residual-variance head: a constant
-        log-space half-width ``z * sqrt(residual_variance)`` around each
-        prediction, mapped through the (monotone) inverse transform with
-        the lower bound clamped at zero.  Every step is elementwise, so
-        a row's floats do not depend on the rows beside it.
-        """
-        seconds = self.transform.inverse(log_pred)
-        if self.residual_variance <= 0.0:
-            return seconds, seconds.copy(), seconds.copy()
-        half = z_for(NOMINAL_CONFIDENCE) * float(np.sqrt(self.residual_variance))
-        low = np.maximum(self.transform.inverse(log_pred - half), 0.0)
-        high = self.transform.inverse(log_pred + half)
-        return seconds, low, high
-
-    def predict_graphs_with_interval(self, graphs: List[PlanGraph]):
-        """``(seconds, interval_low, interval_high)`` per graph; the
-        point column is arithmetic-identical to :meth:`predict_graphs`."""
-        scaled = [self._scale_graph(g) for g in graphs]
-        return self._with_interval(self.gcn.predict_graphs(scaled))
-
     def predict(
         self,
         plan: PhysicalPlan,
@@ -104,18 +74,29 @@ class GlobalModel:
     ) -> List[Prediction]:
         """Predict many queries' exec-times on ``instance`` in one forward.
 
-        The order-stable GCN forward
-        (:meth:`~repro.ml.gcn.DirectedGCN.predict_graphs_stable`) is
-        bit-identical to evaluating each plan alone, and every step after
-        it is elementwise, so each returned :class:`Prediction` carries
-        exactly the floats a one-plan call would, in any batch size or
-        order.
+        The GCN forward (:meth:`~repro.ml.gcn.DirectedGCN.predict_graphs`)
+        is bit-identical to evaluating each plan alone, and every step
+        after it is elementwise, so each returned :class:`Prediction`
+        carries exactly the floats a one-plan call would, in any batch
+        size or order.
+
+        The interval comes from the residual-variance head: a constant
+        log-space half-width ``z * sqrt(residual_variance)`` around each
+        prediction, mapped through the (monotone) inverse transform with
+        the lower bound clamped at zero.
         """
         scaled = [
             self._scale_graph(record_to_graph(plan, instance, n_concurrent))
             for plan in plans
         ]
-        seconds, low, high = self._with_interval(self.gcn.predict_graphs_stable(scaled))
+        log_pred = self.gcn.predict_graphs(scaled)
+        seconds = self.transform.inverse(log_pred)
+        if self.residual_variance <= 0.0:
+            low = high = seconds
+        else:
+            half = z_for(NOMINAL_CONFIDENCE) * float(np.sqrt(self.residual_variance))
+            low = np.maximum(self.transform.inverse(log_pred - half), 0.0)
+            high = self.transform.inverse(log_pred + half)
         return [
             Prediction(
                 exec_time=float(seconds[i]),

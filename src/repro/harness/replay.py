@@ -186,14 +186,13 @@ def assemble_replay(
 
     if collect_components and global_model is not None:
         # The global model is trained offline and frozen during replay, so
-        # its per-query answers can be computed in one batch.
-        from repro.global_model.featurization import record_to_graph
-
-        graphs = [record_to_graph(r.plan, trace.instance) for r in trace]
-        seconds, g_low, g_high = global_model.predict_graphs_with_interval(graphs)
-        global_pred[:] = seconds
-        global_interval_low[:] = g_low
-        global_interval_high[:] = g_high
+        # its per-query answers can be computed in one batch; the batch is
+        # bit-identical per plan to the answers Stage routed to it.
+        answers = global_model.predict_many([r.plan for r in trace], trace.instance)
+        for i, gp in enumerate(answers):
+            global_pred[i] = gp.exec_time
+            global_interval_low[i] = gp.interval_low
+            global_interval_high[i] = gp.interval_high
 
     return InstanceReplay(
         instance_id=trace.instance.instance_id,

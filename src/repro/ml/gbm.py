@@ -82,7 +82,6 @@ class GradientBoostingModel:
 
         self.trees_ = None  # list of rounds; each round: list per parameter
         self.init_raw_ = None
-        self.binner_ = None
         self.best_iteration_ = None
         self.train_losses_ = None
         self.val_losses_ = None
@@ -121,9 +120,8 @@ class GradientBoostingModel:
             X, y = X[train_idx], y[train_idx]
 
         n, n_features = X.shape
-        self.binner_ = Binner(max_bins=self.max_bins).fit(X)
-        binned = self.binner_.transform(X)
-        binned_val = self.binner_.transform(X_val) if X_val is not None else None
+        binner = Binner(max_bins=self.max_bins).fit(X)
+        binned = binner.transform(X)
 
         obj = self.objective
         self.init_raw_ = obj.init_raw(y)
@@ -165,10 +163,10 @@ class GradientBoostingModel:
                     min_child_weight=self.min_child_weight,
                     reg_lambda=self.reg_lambda,
                 )
-                update = tree.fit_predict(binned, g, h, self.binner_, feature_indices)
+                update = tree.fit_predict(binned, g, h, binner, feature_indices)
                 raw[:, p] += self.learning_rate * update
                 if raw_val is not None:
-                    raw_val[:, p] += self.learning_rate * tree.predict_binned(binned_val)
+                    raw_val[:, p] += self.learning_rate * tree.predict(X_val)
                 round_trees.append(tree)
             self.trees_.append(round_trees)
             self.train_losses_.append(obj.loss(y, raw))

@@ -173,7 +173,7 @@ class DirectedGCN(Module):
     """The full global-model network: embed -> L conv layers -> head.
 
     Only :meth:`forward` / :meth:`backward` leave activations behind;
-    :meth:`fit` and the ``predict_*`` entries :meth:`~Module.release`
+    :meth:`fit` and :meth:`predict_graphs` :meth:`~Module.release`
     them before returning, so a trained model holds (and pickles) its
     weights alone.
 
@@ -337,30 +337,16 @@ class DirectedGCN(Module):
         self.release()
         return history
 
-    def predict_graphs(self, graphs: List[PlanGraph], batch_size=256):
-        """Inference over a list of graphs (no dropout)."""
-        preds = np.empty(len(graphs))
-        for start in range(0, len(graphs), batch_size):
-            chunk = graphs[start : start + batch_size]
-            batch = GraphBatch(chunk, aggregation=self.aggregation)
-            preds[start : start + len(chunk)] = self.forward(batch, training=False)
-        self.release()
-        return preds
-
-    def _forward_solo(self, graph: PlanGraph) -> float:
-        batch = GraphBatch([graph], aggregation=self.aggregation)
-        return float(self.forward(batch, training=False)[0])
-
-    def predict_graphs_stable(self, graphs: List[PlanGraph]) -> np.ndarray:
-        """Batched inference **bit-identical** to one-graph-at-a-time
+    def predict_graphs(self, graphs: List[PlanGraph]) -> np.ndarray:
+        """Inference (no dropout), **bit-identical** to one-graph-at-a-time
         :meth:`forward` calls, in any batch size or order.
 
-        Plain :meth:`predict_graphs` is not: a ``(1, k)`` input takes
-        BLAS's gemv path while a stacked ``(m, k)`` input takes gemm, and
-        the two accumulate in different orders.  But gemm output rows
-        *are* bitwise-reproducible functions of their input row whenever
-        the output width satisfies :func:`_row_stable_width` — so this
-        path:
+        A plain block-stacked :meth:`forward` is not: a ``(1, k)`` input
+        takes BLAS's gemv path while a stacked ``(m, k)`` input takes
+        gemm, and the two accumulate in different orders.  But gemm
+        output rows *are* bitwise-reproducible functions of their input
+        row whenever the output width satisfies :func:`_row_stable_width`
+        — so this method:
 
         - block-stacks only graphs with >= 2 nodes through the embedding
           and conv layers (their node-feature matmuls then have the same
@@ -385,7 +371,8 @@ class DirectedGCN(Module):
             if stackable and g.node_features.shape[0] >= 2:
                 multi.append(i)
             else:
-                preds[i] = self._forward_solo(g)
+                solo = GraphBatch([g], aggregation=self.aggregation)
+                preds[i] = self.forward(solo, training=False)[0]
         if multi:
             batch = GraphBatch(
                 [graphs[i] for i in multi], aggregation=self.aggregation

@@ -136,18 +136,6 @@ class LogTargetTransform:
         z = np.asarray(z, dtype=np.float64)
         return np.minimum(np.expm1(np.minimum(z, 50.0)), self.max_seconds)
 
-    def inverse_variance(self, z_mean, z_var):
-        """Approximate variance of ``expm1(Z)`` when ``Z ~ N(mean, var)``.
-
-        Uses the lognormal identity ``Var[e^Z] = e^{2m+v}(e^v - 1)``, which
-        dominates the ``-1`` shift for all but sub-millisecond queries.
-        """
-        z_mean = np.asarray(z_mean, dtype=np.float64)
-        z_var = np.maximum(np.asarray(z_var, dtype=np.float64), 0.0)
-        m = np.minimum(z_mean, 50.0)
-        v = np.minimum(z_var, 50.0)
-        return np.exp(2 * m + v) * (np.exp(v) - 1.0)
-
 
 def clip_features(X, low=-1e12, high=1e12):
     """Replace NaN/inf with zeros and clip extreme magnitudes."""

@@ -130,9 +130,13 @@ class RegressionTree:
     """A single histogram-split regression tree fit to (grad, hess).
 
     The leaf value is the Newton step ``-G / (H + reg_lambda)``; the split
-    gain is the standard XGBoost gain.  The tree records both the bin index
-    and the raw threshold value, so prediction works on raw feature
-    matrices without re-binning.
+    gain is the standard XGBoost gain.  A split is found on bin codes
+    (``bin <= k``) but stored as its raw threshold, the bin's upper edge
+    ``edges[k]``, so :meth:`predict` walks raw feature matrices and the
+    fitted tree holds no binning state.  The two rules send every value
+    the same way: ``Binner.transform`` codes ``x`` as the number of edges
+    below it, which is at most ``k`` exactly when ``x <= edges[k]`` (NaN
+    and +inf code past every edge and go right, -inf goes left).
 
     Parameters
     ----------
@@ -195,8 +199,8 @@ class RegressionTree:
         """:meth:`fit`, then return the leaf value of every training row.
 
         Growing the tree already sorts each training row into its leaf,
-        so the result equals ``predict_binned(binned)`` without a second
-        walk down the tree.
+        so the result equals ``predict(X)`` on the raw rows ``binned``
+        was coded from, without a second walk down the tree.
         """
         n_samples, n_features = binned.shape
         if feature_indices is None:
@@ -207,7 +211,6 @@ class RegressionTree:
         max_nodes = 2 ** (self.max_depth + 2)
         self.feature_ = np.full(max_nodes, -1, dtype=np.int32)
         self.threshold_ = np.zeros(max_nodes, dtype=np.float64)
-        self._threshold_bin = np.zeros(max_nodes, dtype=np.int32)
         self.left_ = np.full(max_nodes, -1, dtype=np.int32)
         self.right_ = np.full(max_nodes, -1, dtype=np.int32)
         self.value_ = np.zeros(max_nodes, dtype=np.float64)
@@ -239,7 +242,6 @@ class RegressionTree:
             self.n_nodes_ += 2
             self.is_leaf_[nid] = False
             self.feature_[nid] = feat
-            self._threshold_bin[nid] = bin_idx
             self.threshold_[nid] = binner.threshold_value(feat, bin_idx)
             self.left_[nid] = left_id
             self.right_[nid] = right_id
@@ -257,7 +259,7 @@ class RegressionTree:
                 )
             )
 
-        self._trim(binner)
+        self._trim()
         return self.value_[leaf_of_row]
 
     def _leaf_value(self, grad_sum, hess_sum):
@@ -319,11 +321,10 @@ class RegressionTree:
         feat = candidates.features[candidates.cell_feature[k]]
         return int(feat), int(candidates.cell_bin[k]), gain
 
-    def _trim(self, binner):
+    def _trim(self):
         n = self.n_nodes_
         self.feature_ = self.feature_[:n]
         self.threshold_ = self.threshold_[:n]
-        self._threshold_bin = self._threshold_bin[:n]
         self.left_ = self.left_[:n]
         self.right_ = self.right_[:n]
         self.value_ = self.value_[:n]
@@ -349,22 +350,6 @@ class RegressionTree:
             active = ~self.is_leaf_[node_ids]
         return self.value_[node_ids]
 
-    def predict_binned(self, binned):
-        """Predict leaf values for pre-binned data (training-time path)."""
-        n = binned.shape[0]
-        node_ids = np.zeros(n, dtype=np.int32)
-        active = ~self.is_leaf_[node_ids]
-        while active.any():
-            rows = np.nonzero(active)[0]
-            nids = node_ids[rows]
-            feats = self.feature_[nids]
-            thresh = self._threshold_bin[nids]
-            go_left = binned[rows, feats] <= thresh
-            node_ids[rows[go_left]] = self.left_[nids[go_left]]
-            node_ids[rows[~go_left]] = self.right_[nids[~go_left]]
-            active = ~self.is_leaf_[node_ids]
-        return self.value_[node_ids]
-
     @property
     def n_leaves(self):
         return int(self.is_leaf_.sum())
@@ -374,7 +359,6 @@ class RegressionTree:
         arrays = (
             self.feature_,
             self.threshold_,
-            self._threshold_bin,
             self.left_,
             self.right_,
             self.value_,

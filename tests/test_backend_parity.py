@@ -26,6 +26,7 @@ automatically: the parametrization reads the registry.
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.config import GatewayConfig, ReplayBackend
@@ -92,6 +93,29 @@ def test_references_exercise_cache_and_ensemble(scenario_references):
         if min(counts.values()) < 1:
             starved[name] = counts
     assert not starved, f"scenarios whose reference skips a route: {starved}"
+
+
+def test_global_column_is_the_routed_answer(scenario_references):
+    """Wherever Stage routed a query to the global model, the replay's
+    global column reports that same answer, bit for bit: point, lower
+    and upper bound."""
+    pairs = (
+        ("stage_pred", "global_pred"),
+        ("stage_interval_low", "global_interval_low"),
+        ("stage_interval_high", "global_interval_high"),
+    )
+    differing = {}
+    for name, replays in scenario_references.items():
+        for replay in replays:
+            routed = replay.stage_source == "global"
+            for stage, glob in pairs:
+                got = getattr(replay, glob)[routed]
+                want = getattr(replay, stage)[routed]
+                n_off = int((got.view(np.int64) != want.view(np.int64)).sum())
+                if n_off:
+                    key = (name, replay.instance_id, glob)
+                    differing[key] = f"{n_off} of {int(routed.sum())}"
+    assert not differing, differing
 
 
 def test_matrix_escalates_uncertain_local_answers(scenario_references):

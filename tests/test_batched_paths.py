@@ -14,7 +14,8 @@ entry to an independent per-record reference, bit for bit, in results
 - ``lookup_predictions`` (and the precomputed per-entry predictions it
   reads) vs uncounted per-key probes with the counters moved by hand,
   and freshly computed Welford intervals;
-- ``predict_many`` vs per-plan ``predict_graphs_with_interval``;
+- ``predict_many`` vs a one-graph ``DirectedGCN.forward`` per plan with
+  the residual-variance interval algebra written out;
 - the order-stable batched GCN forward vs one-graph-at-a-time forwards,
   under hypothesis-driven batch-size and order permutations.
 """
@@ -67,15 +68,25 @@ def counted_peek(cache, key):
 
 
 def global_per_plan(model, plan, instance):
-    """One global answer without the batched entry: a one-graph
-    ``predict_graphs_with_interval`` (plain, not order-stable, forward)."""
-    seconds, low, high = model.predict_graphs_with_interval([record_to_graph(plan, instance, 0.0)])
+    """One global answer without any ``predict_*`` entry: a one-graph
+    ``DirectedGCN.forward``, then the residual-variance interval (a
+    log-space half-width ``z * sqrt(residual_variance)`` mapped through
+    the inverse transform, the lower bound clamped at zero)."""
+    graph = model._scale_graph(record_to_graph(plan, instance, 0.0))
+    log_pred = model.gcn.forward(GraphBatch([graph], aggregation=model.gcn.aggregation))
+    model.gcn.release()
+    seconds = model.transform.inverse(log_pred)[0]
+    low = high = seconds
+    if model.residual_variance > 0.0:
+        half = z_for(NOMINAL_CONFIDENCE) * float(np.sqrt(model.residual_variance))
+        low = max(model.transform.inverse(log_pred - half)[0], 0.0)
+        high = model.transform.inverse(log_pred + half)[0]
     return Prediction(
-        exec_time=float(seconds[0]),
+        exec_time=float(seconds),
         variance=model.residual_variance,
         source=PredictionSource.GLOBAL,
-        interval_low=float(low[0]),
-        interval_high=float(high[0]),
+        interval_low=float(low),
+        interval_high=float(high),
     )
 
 
@@ -283,27 +294,19 @@ class TestGlobalFallbackParity:
                 assert got.source == want.source
 
     def test_interval_matches_reference_arithmetic(self, global_fleet):
-        """The one interval helper behind ``predict_graphs_with_interval``
-        and ``predict_many`` must carry exactly the floats of the
-        residual-variance algebra written out here, with and without a
-        residual-variance head."""
+        """Without a residual-variance head, ``predict_many`` must still
+        carry exactly the floats of the algebra written out in
+        :func:`global_per_plan`, its intervals collapsed onto the points
+        the headed model answers (the headed case is the test above)."""
         global_model, trace = global_fleet
+        assert global_model.residual_variance > 0.0
         flat = copy.copy(global_model)
         flat.residual_variance = 0.0
-        graphs = [record_to_graph(r.plan, trace.instance, 0.0) for r in list(trace)[:20]]
-        for model in (global_model, flat):
-            log_pred = model.gcn.predict_graphs([model._scale_graph(g) for g in graphs])
-            seconds = model.transform.inverse(log_pred)
-            if model.residual_variance > 0.0:
-                half = z_for(NOMINAL_CONFIDENCE) * float(np.sqrt(model.residual_variance))
-                low = np.maximum(model.transform.inverse(log_pred - half), 0.0)
-                high = model.transform.inverse(log_pred + half)
-            else:
-                low = high = seconds
-            got = model.predict_graphs_with_interval(graphs)
-            for column, want in zip(got, (seconds, low, high)):
-                assert (column == want).all()
-        assert global_model.residual_variance > 0.0
+        plans = [r.plan for r in list(trace)[:20]]
+        headed = global_model.predict_many(plans, trace.instance, n_concurrent=0.0)
+        for got, plan, point in zip(flat.predict_many(plans, trace.instance), plans, headed):
+            assert got == global_per_plan(flat, plan, trace.instance)
+            assert got.exec_time == got.interval_low == got.interval_high == point.exec_time
 
     def test_predict_many_empty(self, global_fleet):
         global_model, trace = global_fleet
@@ -421,18 +424,18 @@ class TestStableForwardProperty:
             ]
         )
         # whole-batch == solo, bit for bit
-        assert (gcn.predict_graphs_stable(graphs) == solo).all()
+        assert (gcn.predict_graphs(graphs) == solo).all()
         # order permutation
         perm = rng.permutation(len(graphs))
-        permuted = gcn.predict_graphs_stable([graphs[i] for i in perm])
+        permuted = gcn.predict_graphs([graphs[i] for i in perm])
         assert (permuted == solo[perm]).all()
         # batch-size permutation: any split point gives the same bits
         if len(graphs) > 1:
             cut = int(rng.integers(1, len(graphs)))
             rejoined = np.concatenate(
                 [
-                    gcn.predict_graphs_stable(graphs[:cut]),
-                    gcn.predict_graphs_stable(graphs[cut:]),
+                    gcn.predict_graphs(graphs[:cut]),
+                    gcn.predict_graphs(graphs[cut:]),
                 ]
             )
             assert (rejoined == solo).all()

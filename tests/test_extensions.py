@@ -1,5 +1,5 @@
-"""Tests for the extension features: confidence intervals, model
-serialization, and WLM concurrency scaling."""
+"""Tests for the extension features: model serialization and WLM
+concurrency scaling."""
 
 import os
 
@@ -7,59 +7,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import GlobalModelConfig
-from repro.core.interfaces import Prediction
-from repro.global_model import (
-    GlobalModelTrainer,
-    load_global_model,
-    record_to_graph,
-    save_global_model,
-)
+from repro.global_model import GlobalModelTrainer, load_global_model, save_global_model
 from repro.wlm import WLMConfig, simulate_wlm
 from repro.workload import FleetConfig, FleetGenerator
-
-
-class TestConfidenceIntervals:
-    def test_point_prediction_collapses(self):
-        p = Prediction(exec_time=5.0, variance=0.0)
-        assert p.interval(0.9) == (5.0, 5.0)
-
-    def test_interval_contains_estimate(self):
-        p = Prediction(exec_time=10.0, variance=0.25)
-        low, high = p.interval(0.9)
-        assert low < 10.0 < high
-
-    def test_wider_confidence_wider_interval(self):
-        p = Prediction(exec_time=10.0, variance=0.25)
-        low50, high50 = p.interval(0.5)
-        low99, high99 = p.interval(0.99)
-        assert low99 < low50 and high99 > high50
-
-    def test_more_variance_wider_interval(self):
-        narrow = Prediction(exec_time=10.0, variance=0.04).interval(0.9)
-        wide = Prediction(exec_time=10.0, variance=1.0).interval(0.9)
-        assert wide[1] - wide[0] > narrow[1] - narrow[0]
-
-    def test_lower_bound_non_negative(self):
-        p = Prediction(exec_time=0.01, variance=9.0)
-        low, _ = p.interval(0.99)
-        assert low >= 0.0
-
-    def test_invalid_confidence(self):
-        p = Prediction(exec_time=1.0, variance=1.0)
-        with pytest.raises(ValueError):
-            p.interval(0.0)
-        with pytest.raises(ValueError):
-            p.interval(1.0)
-
-    def test_coverage_on_lognormal_data(self):
-        """A well-specified interval should cover ~confidence of samples."""
-        rng = np.random.default_rng(0)
-        mu, sigma = 2.0, 0.5
-        samples = np.expm1(rng.normal(mu, sigma, 4000))
-        p = Prediction(exec_time=float(np.expm1(mu)), variance=sigma**2)
-        low, high = p.interval(0.9)
-        coverage = np.mean((samples >= low) & (samples <= high))
-        assert 0.85 <= coverage <= 0.95
 
 
 class TestGlobalModelSerialization:
@@ -78,12 +28,9 @@ class TestGlobalModelSerialization:
         path = os.path.join(tmp_path, "global.npz")
         save_global_model(model, path)
         loaded = load_global_model(path)
-        records = list(trace)[:20]
-        graphs = [record_to_graph(r.plan, trace.instance) for r in records]
-        np.testing.assert_allclose(
-            model.predict_graphs(graphs),
-            loaded.predict_graphs(graphs),
-            rtol=1e-12,
+        plans = [r.plan for r in list(trace)[:20]]
+        assert loaded.predict_many(plans, trace.instance) == model.predict_many(
+            plans, trace.instance
         )
 
     def test_file_is_reasonably_small(self, model_and_trace, tmp_path):

@@ -96,8 +96,8 @@ class TestTrainedModel:
         should rank queries far better than a constant predictor."""
         _, __, held_out = fleet
         records = list(held_out)[:300]
-        graphs = [record_to_graph(r.plan, held_out.instance) for r in records]
-        preds = trained_model.predict_graphs(graphs)
+        answers = trained_model.predict_many([r.plan for r in records], held_out.instance)
+        preds = np.array([p.exec_time for p in answers])
         true = np.array([r.exec_time for r in records])
         corr = np.corrcoef(np.log1p(preds), np.log1p(true))[0, 1]
         # the hidden per-instance speed factor bounds what zero-shot
@@ -107,11 +107,10 @@ class TestTrainedModel:
 
     def test_batch_and_single_predictions_match(self, trained_model, fleet):
         _, __, held_out = fleet
-        records = list(held_out)[:5]
-        graphs = [record_to_graph(r.plan, held_out.instance) for r in records]
-        batch = trained_model.predict_graphs(graphs)
-        singles = [trained_model.predict(r.plan, held_out.instance).exec_time for r in records]
-        np.testing.assert_allclose(batch, singles, rtol=1e-9)
+        plans = [r.plan for r in list(held_out)[:5]]
+        batch = trained_model.predict_many(plans, held_out.instance)
+        singles = [trained_model.predict(plan, held_out.instance) for plan in plans]
+        assert batch == singles
 
     def test_byte_size(self, trained_model):
         assert trained_model.byte_size() > 0
@@ -133,13 +132,12 @@ class TestSerialization:
 
     def test_round_trip_predictions_identical(self, trained_model, fleet, tmp_path):
         _, __, held_out = fleet
-        graphs = records_to_graphs(list(held_out)[:50], held_out.instance)
+        plans = [r.plan for r in list(held_out)[:50]]
         path = str(tmp_path / "global_model.npz")
         save_global_model(trained_model, path)
         loaded = load_global_model(path)
-        np.testing.assert_array_equal(
-            trained_model.predict_graphs(graphs),
-            loaded.predict_graphs(graphs),
+        assert loaded.predict_many(plans, held_out.instance) == trained_model.predict_many(
+            plans, held_out.instance
         )
 
     def test_round_trip_preserves_scalers_and_architecture(self, trained_model, tmp_path):
@@ -158,13 +156,12 @@ class TestSerialization:
         """The loaded artifact must also pickle cleanly — that is how
         the pool initializer ships it to worker processes."""
         _, __, held_out = fleet
-        graphs = records_to_graphs(list(held_out)[:10], held_out.instance)
+        plans = [r.plan for r in list(held_out)[:10]]
         path = str(tmp_path / "global_model.npz")
         save_global_model(trained_model, path)
         loaded = pickle.loads(pickle.dumps(load_global_model(path)))
-        np.testing.assert_array_equal(
-            trained_model.predict_graphs(graphs),
-            loaded.predict_graphs(graphs),
+        assert loaded.predict_many(plans, held_out.instance) == trained_model.predict_many(
+            plans, held_out.instance
         )
 
     def test_version_mismatch_rejected(self, trained_model, tmp_path):

@@ -9,6 +9,7 @@ from repro import FleetConfig, FleetGenerator, fast_profile
 from repro.core.autowlm import AutoWLMPredictor
 from repro.local_model import LocalModel
 from repro.ml.gbm import GradientBoostingModel
+from repro.ml.tree import Binner
 
 
 @pytest.fixture(scope="module")
@@ -209,16 +210,25 @@ GOLDEN_LOCAL_ENSEMBLE = "f77a3a784b14d240dffcdf484ac8390599d835dabb6b4b14974591f
 GOLDEN_AUTOWLM = "27e106571f3a07b08d4a5bd4c62117c09b5432cf16d0a4c1476817e522c5b7dc"
 
 
-def _tree_digest(models):
+def _tree_digest(models, binners):
+    """Hash ``models``' trees as the digests were recorded: with each
+    split's bin index beside its raw threshold.  A tree stores only the
+    threshold, the bin's upper edge, so the index is rebuilt from the
+    edges of ``binners``, the binner each model's fit used."""
     digest = hashlib.sha256()
-    for model in models:
+    for model, binner in zip(models, binners, strict=True):
         digest.update(np.asarray(model.init_raw_, dtype=np.float64).tobytes())
         for round_trees in model.trees_:
             for tree in round_trees:
+                threshold_bin = np.zeros(tree.n_nodes_, dtype=np.int32)
+                for nid in np.flatnonzero(~tree.is_leaf_):
+                    edges = binner.bin_edges_[tree.feature_[nid]]
+                    threshold_bin[nid] = np.searchsorted(edges, tree.threshold_[nid])
+                    assert edges[threshold_bin[nid]] == tree.threshold_[nid]
                 for array in (
                     tree.feature_,
                     tree.threshold_,
-                    tree._threshold_bin,
+                    threshold_bin,
                     tree.left_,
                     tree.right_,
                     tree.value_,
@@ -226,6 +236,22 @@ def _tree_digest(models):
                 ):
                     digest.update(array.tobytes())
     return digest.hexdigest()
+
+
+@pytest.fixture
+def fitted_binners(monkeypatch):
+    """Every :class:`Binner` fit while the test runs, in fit order: a
+    boosting fit bins its rows once, so a model's binner is the one fit
+    with it."""
+    fitted = []
+    fit = Binner.fit
+
+    def spy(self, X):
+        fitted.append(self)
+        return fit(self, X)
+
+    monkeypatch.setattr(Binner, "fit", spy)
+    return fitted
 
 
 @pytest.fixture(scope="module")
@@ -236,17 +262,20 @@ def trace_prefix():
 
 
 class TestGoldenDigests:
-    def test_fast_profile_local_ensemble(self, trace_prefix):
+    def test_fast_profile_local_ensemble(self, trace_prefix, fitted_binners):
         profile = fast_profile()
         model = LocalModel(profile.local, profile.pool, random_state=3)
         for record in trace_prefix:
             model.add_example(record.features, record.exec_time)
         assert model.n_retrains == 3
-        assert _tree_digest(model._ensemble.members_) == GOLDEN_LOCAL_ENSEMBLE
+        # the last retrain fit the members in order, one binner each
+        members = model._ensemble.members_
+        binners = fitted_binners[-len(members) :]
+        assert _tree_digest(members, binners) == GOLDEN_LOCAL_ENSEMBLE
 
-    def test_autowlm_gbm(self, trace_prefix):
+    def test_autowlm_gbm(self, trace_prefix, fitted_binners):
         predictor = AutoWLMPredictor(fast_profile().local, random_state=5)
         for record in trace_prefix:
             predictor.observe(record)
         assert predictor.n_retrains == 3
-        assert _tree_digest([predictor._model]) == GOLDEN_AUTOWLM
+        assert _tree_digest([predictor._model], fitted_binners[-1:]) == GOLDEN_AUTOWLM

@@ -192,7 +192,6 @@ class TestWeightsOnly:
         gcn.fit(graphs, targets, epochs=3)
         assert held_caches(gcn) == []
         gcn.predict_graphs(graphs)
-        gcn.predict_graphs_stable(graphs)
         assert held_caches(gcn) == []
 
     def test_pickle_drops_caches_and_gradients(self):
@@ -209,7 +208,7 @@ class TestWeightsOnly:
             assert not param.grad.any()
         graphs = [_random_tree(n, seed=n) for n in (1, 3, 7)]
         np.testing.assert_array_equal(
-            loaded.predict_graphs_stable(graphs), gcn.predict_graphs_stable(graphs)
+            loaded.predict_graphs(graphs), gcn.predict_graphs(graphs)
         )
         # the live network still backpropagates after the pickle
         gcn.forward(batch, training=True)

@@ -54,17 +54,6 @@ class TestLogTargetTransform:
         t = LogTargetTransform(max_seconds=100.0)
         assert t.inverse(np.array([40.0]))[0] == 100.0
 
-    def test_inverse_variance_positive_and_monotone(self):
-        t = LogTargetTransform()
-        v1 = t.inverse_variance(np.array([1.0]), np.array([0.1]))
-        v2 = t.inverse_variance(np.array([1.0]), np.array([0.5]))
-        assert 0 < v1[0] < v2[0]
-
-    def test_inverse_variance_zero_when_certain(self):
-        t = LogTargetTransform()
-        v = t.inverse_variance(np.array([2.0]), np.array([0.0]))
-        assert v[0] == pytest.approx(0.0, abs=1e-12)
-
 
 class TestClipFeatures:
     def test_replaces_nan_and_inf(self):

@@ -88,15 +88,60 @@ class TestRegressionTree:
             leaves[v] = leaves.get(v, 0) + 1
         assert min(leaves.values()) >= 5
 
-    def test_predict_matches_predict_binned(self):
+    def test_raw_walk_is_the_split_rule(self):
+        """A split is found as ``bin <= k`` on bin codes and stored as its
+        raw threshold ``edges[k]``; the raw walk must send every value
+        where the bin rule does.  Training rows must land on the leaf
+        values the fit returned, and adversarial probes (every edge, its
+        float neighbours, NaN, +-inf and -0.0) on the leaf a walk over
+        ``Binner.transform`` codes with ``searchsorted(edges, x) <= k``
+        picks."""
         rng = np.random.default_rng(2)
-        X = rng.normal(size=(300, 4))
-        y = X[:, 0] * 2 + rng.normal(size=300) * 0.1
+        n = 300
+        X = np.column_stack(
+            [
+                rng.normal(size=n),
+                rng.integers(-2, 3, size=n).astype(float),  # 0.0 is an edge
+                np.where(rng.random(n) < 0.2, np.nan, rng.exponential(size=n)),
+                rng.choice([-np.inf, np.inf, np.nan], size=n),  # edges == [0.0]
+                rng.choice([-np.inf, np.inf, 1.0], size=n),
+            ]
+        )
+        y = 2 * np.nan_to_num(X[:, 0]) + X[:, 1] + np.isnan(X[:, 2]) + rng.normal(size=n) * 0.1
+        y += np.sign(X[:, 4]) + 3.0 * np.isneginf(X[:, 3])
         binner = Binner(max_bins=32).fit(X)
         binned = binner.transform(X)
-        tree = RegressionTree(max_depth=4, min_samples_leaf=2)
-        tree.fit(binned, -y, np.ones_like(y), binner)
-        np.testing.assert_allclose(tree.predict(X), tree.predict_binned(binned), atol=1e-12)
+        specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+        for depth in (1, 3, 6):
+            tree = RegressionTree(max_depth=depth, min_samples_leaf=2)
+            leaf_values = tree.fit_predict(binned, -y, np.ones(n), binner)
+            assert leaf_values.tobytes() == tree.predict(X).tobytes()
+            assert not tree.is_leaf_[0]
+
+            probes = [X[:8]]
+            for j, edges in enumerate(binner.bin_edges_):
+                values = np.concatenate(
+                    [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), specials]
+                )
+                block = np.repeat(X[:4], values.size, axis=0)
+                block[:, j] = np.tile(values, 4)
+                probes.append(block)
+            probes.append(np.repeat(specials[:, None], X.shape[1], axis=1))
+            P = np.concatenate(probes)
+
+            codes = binner.transform(P)
+            want = np.empty(P.shape[0], dtype=np.intp)
+            for r, row in enumerate(codes):
+                nid = 0
+                while not tree.is_leaf_[nid]:
+                    feat = tree.feature_[nid]
+                    k = np.searchsorted(binner.bin_edges_[feat], tree.threshold_[nid])
+                    assert binner.bin_edges_[feat][k] == tree.threshold_[nid]
+                    nid = tree.left_[nid] if row[feat] <= k else tree.right_[nid]
+                want[r] = nid
+            # number the nodes so the raw walk reports the leaf it reached
+            tree.value_ = np.arange(tree.n_nodes_, dtype=np.float64)
+            assert (tree.predict(P) == want).all()
 
     def test_reduces_squared_loss_vs_constant(self):
         rng = np.random.default_rng(3)
@@ -198,7 +243,6 @@ class _ReferenceTree(RegressionTree):
 _TREE_ARRAYS = (
     "feature_",
     "threshold_",
-    "_threshold_bin",
     "left_",
     "right_",
     "value_",
@@ -250,14 +294,14 @@ def _split_problems(draw):
         reg_lambda=draw(st.sampled_from([0.0, 1.0])),
         min_gain=draw(st.sampled_from([1e-7, 0.0, -1.0])),
     )
-    return binned, grad, hess, binner, feature_indices, params, rng
+    return X, binned, grad, hess, binner, feature_indices, params, rng
 
 
 class TestSinglePassSplitSearch:
     @given(_split_problems())
     @settings(max_examples=150, deadline=None)
     def test_split_matches_reference_bit_for_bit(self, problem):
-        binned, grad, hess, binner, feature_indices, params, rng = problem
+        _, binned, grad, hess, binner, feature_indices, params, rng = problem
         n, n_features = binned.shape
         fi = np.arange(n_features) if feature_indices is None else feature_indices
         tree = RegressionTree(**params)
@@ -274,7 +318,7 @@ class TestSinglePassSplitSearch:
     @given(_split_problems())
     @settings(max_examples=100, deadline=None)
     def test_tree_matches_reference_array_for_array(self, problem):
-        binned, grad, hess, binner, feature_indices, params, _ = problem
+        X, binned, grad, hess, binner, feature_indices, params, _ = problem
         tree = RegressionTree(**params)
         reference = _ReferenceTree(**params)
         leaf_values = tree.fit_predict(binned, grad, hess, binner, feature_indices)
@@ -284,7 +328,7 @@ class TestSinglePassSplitSearch:
             got, want = getattr(tree, name), getattr(reference, name)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), name
-        assert leaf_values.tobytes() == reference.predict_binned(binned).tobytes()
+        assert leaf_values.tobytes() == reference.predict(X).tobytes()
 
     def test_only_constant_features_gives_a_leaf(self):
         X = np.column_stack([np.full(40, 2.0), np.full(40, -1.0)])

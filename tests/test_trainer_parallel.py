@@ -188,14 +188,12 @@ class TestShardedParity:
             assert np.array_equal(seq_scaler.mean_, par_scaler.mean_)
             assert np.array_equal(seq_scaler.scale_, par_scaler.scale_)
 
-    def test_model_predictions_bit_identical(
-        self, trainer, traces, sequential_model, sequential_dataset, n_jobs
-    ):
+    def test_model_predictions_bit_identical(self, trainer, traces, sequential_model, n_jobs):
         parallel = trainer.train(traces, n_jobs=n_jobs)
-        probe = sequential_dataset[0][:40]
-        assert np.array_equal(
-            sequential_model.predict_graphs(probe),
-            parallel.predict_graphs(probe),
+        probe = [r.plan for r in list(traces[0])[:40]]
+        instance = traces[0].instance
+        assert parallel.predict_many(probe, instance) == sequential_model.predict_many(
+            probe, instance
         )
 
 

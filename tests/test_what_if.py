@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import GlobalModelConfig
-from repro.global_model import GlobalModelTrainer, record_to_graph
+from repro.global_model import GlobalModelTrainer
 from repro.workload import FleetConfig, FleetGenerator
 
 
@@ -31,8 +31,9 @@ class TestWhatIfScaling:
         instance = trace.instance
         small = dataclasses.replace(instance, n_nodes=2)
         large = dataclasses.replace(instance, n_nodes=max(8, instance.n_nodes * 2))
-        pred_small = model.predict_graphs([record_to_graph(r.plan, small) for r in heavy])
-        pred_large = model.predict_graphs([record_to_graph(r.plan, large) for r in heavy])
+        plans = [r.plan for r in heavy]
+        pred_small = np.array([p.exec_time for p in model.predict_many(plans, small)])
+        pred_large = np.array([p.exec_time for p in model.predict_many(plans, large)])
         # direction on the geometric mean (individual queries may wiggle)
         assert np.exp(np.mean(np.log1p(pred_large))) <= np.exp(
             np.mean(np.log1p(pred_small))
