@@ -36,9 +36,13 @@ def test_fig9_inference_cost(benchmark, sweep, results_dir):
     )
     write_result(results_dir, "fig9_inference_cost", table)
 
-    # the cache is by far the cheapest component
+    # the cache is by far the cheapest component, and cheaper than the
+    # single AutoWLM model (a packed forest walk is within ~10x of it)
     assert cost["cache"]["latency_s"] < cost["local"]["latency_s"] / 10
-    assert cost["cache"]["latency_s"] < cost["autowlm"]["latency_s"] / 10
+    assert cost["cache"]["latency_s"] < cost["autowlm"]["latency_s"]
+    # the local ensemble walks each member's packed forest at once, not
+    # tree by tree: it stays within a small factor of the GCN forward
+    assert cost["local"]["latency_s"] < 5 * cost["global"]["latency_s"]
     # the local K-model ensemble costs more than AutoWLM's single model
     assert cost["local"]["latency_s"] > cost["autowlm"]["latency_s"]
     assert cost["local"]["memory_bytes"] > cost["autowlm"]["memory_bytes"]

@@ -49,9 +49,12 @@ class FrozenLocalModel:
         """Predict a batch of feature rows in one ensemble call.
 
         Row ``i`` of the result is bit-identical to
-        ``LocalModel.predict(X[i])`` against the same ensemble: member
-        trees predict each row independently and the ensemble moments are
-        per-column reductions, so batching changes no arithmetic.
+        ``LocalModel.predict(X[i])`` against the same ensemble.  Each
+        member walks every (row, tree) pair of its packed forest on its
+        own and sums a row's leaf values with a ``cumsum`` along the tree
+        axis, in tree order; the ensemble moments then accumulate member
+        by member, per row.  No sum ever runs across rows, so a row's
+        answer is the same arithmetic in any batch.
         """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         out = self.ensemble.predict(X)

@@ -10,6 +10,13 @@ the Stage local model, Section 4.3:
 - *model* uncertainty is ``mean_k((y_hat - mu_k)^2)``;
 - *data* uncertainty is ``mean_k(sigma2_k)``;
 - total prediction uncertainty is their sum                   (paper Eq. 2).
+
+Each member is a packed forest (:mod:`repro.ml.gbm`): one walk sorts every
+(row, tree) pair into its leaf and a ``cumsum`` along the tree axis adds
+the leaf values in tree order, so a member's ``(mu_k, sigma2_k)`` for a row
+never depends on the other rows of the batch.  The moments above then
+accumulate member by member (see :meth:`BayesianGBMEnsemble.predict`), so
+the whole prediction is batch-size-invariant.
 """
 
 from __future__ import annotations
@@ -98,14 +105,17 @@ class BayesianGBMEnsemble:
     def predict(self, X):
         """Return an :class:`EnsemblePrediction` for ``X``.
 
-        The ensemble moments are accumulated member by member rather
-        than via ``ndarray.mean(axis=0)``: numpy's axis reductions pick
-        different summation orders for different shapes (pairwise for a
-        single column, sequential otherwise), which would make batched
-        predictions differ from per-row predictions in the last ulp.
-        Member-order accumulation is batch-size-invariant, so a row
-        predicted in any batch is bit-identical to predicting it alone —
-        the replay harness depends on this to defer and batch inference.
+        Two orders keep a row's answer independent of its batch.  Within
+        a member, the packed walk sorts each (row, tree) pair on its own
+        and a sequential ``cumsum`` along the tree axis adds the leaf
+        values in tree order.  Across members, the moments accumulate
+        member by member rather than via ``ndarray.mean(axis=0)``:
+        numpy's axis reductions pick different summation orders for
+        different shapes (pairwise for a single column, sequential
+        otherwise), which would make batched predictions differ from
+        per-row predictions in the last ulp.  A row predicted in any
+        batch is therefore bit-identical to predicting it alone — the
+        replay harness depends on this to defer and batch inference.
         """
         if self.members_ is None:
             raise RuntimeError("ensemble is not fitted")

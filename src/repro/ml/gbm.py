@@ -9,6 +9,19 @@ Supports multi-parameter objectives (one tree per raw parameter per round),
 row/column subsampling, and early stopping on a held-out validation split —
 matching the paper's "20% of training data as a validation set for early
 stopping" setup (Section 5.1).
+
+A fitted model is a packed forest: every tree is packed into one flat node
+table as the fit accepts it (LightGBM's layout: internal nodes'
+``feature``/``threshold``/``left``/``right``, a child that is a leaf stored
+as ``~leaf``, one ``leaf_value`` array and one root per tree), and no
+:class:`~repro.ml.tree.RegressionTree` outlives the fit.  Inference is one
+walk of every (row, tree) pair together, at most ``max_depth`` vectorized
+steps, then a ``cumsum`` of each parameter's scaled leaf values along the
+tree axis, in tree order and starting from the initial score.  ``cumsum``
+adds sequentially, so a raw score is the same sum, in the same order, as
+adding one tree at a time — and a row's score never depends on the other
+rows of its batch.  The fit scores its early-stopping rows through the same
+walk.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .losses import get_objective
-from .tree import Binner, RegressionTree
+from .tree import Binner, PackedForest, RegressionTree
 
 __all__ = ["GradientBoostingModel"]
 
@@ -80,7 +93,9 @@ class GradientBoostingModel:
         self.max_bins = max_bins
         self.random_state = random_state
 
-        self.trees_ = None  # list of rounds; each round: list per parameter
+        # tree ``t`` of the forest is round ``t // n_params``'s tree for
+        # parameter ``t % n_params``
+        self.forest_ = None
         self.init_raw_ = None
         self.best_iteration_ = None
         self.train_losses_ = None
@@ -128,7 +143,7 @@ class GradientBoostingModel:
         raw = np.tile(self.init_raw_, (n, 1))
         raw_val = np.tile(self.init_raw_, (X_val.shape[0], 1)) if X_val is not None else None
 
-        self.trees_ = []
+        trees = []  # one packed tree per parameter per round, in fit order
         self.train_losses_ = []
         self.val_losses_ = []
         best_val = np.inf
@@ -150,7 +165,6 @@ class GradientBoostingModel:
             else:
                 feature_indices = None
 
-            round_trees = []
             for p in range(obj.n_params):
                 g = grad[:, p]
                 h = hess[:, p]
@@ -165,10 +179,11 @@ class GradientBoostingModel:
                 )
                 update = tree.fit_predict(binned, g, h, binner, feature_indices)
                 raw[:, p] += self.learning_rate * update
+                packed = tree.packed()
+                trees.append(packed)
                 if raw_val is not None:
-                    raw_val[:, p] += self.learning_rate * tree.predict(X_val)
-                round_trees.append(tree)
-            self.trees_.append(round_trees)
+                    leaves = packed.leaves(X_val)[:, 0]
+                    raw_val[:, p] += self.learning_rate * packed.leaf_value[leaves]
             self.train_losses_.append(obj.loss(y, raw))
 
             if raw_val is not None:
@@ -176,7 +191,7 @@ class GradientBoostingModel:
                 self.val_losses_.append(val_loss)
                 if val_loss < best_val - 1e-12:
                     best_val = val_loss
-                    best_round = len(self.trees_)
+                    best_round = len(self.train_losses_)
                     rounds_since_best = 0
                 else:
                     rounds_since_best += 1
@@ -188,22 +203,32 @@ class GradientBoostingModel:
 
         if raw_val is not None and self.early_stopping_rounds is not None:
             self.best_iteration_ = max(1, best_round)
-            self.trees_ = self.trees_[: self.best_iteration_]
         else:
-            self.best_iteration_ = len(self.trees_)
+            self.best_iteration_ = len(self.train_losses_)
+        self.forest_ = PackedForest.join(trees[: self.best_iteration_ * obj.n_params])
         return self
 
     # ------------------------------------------------------------------
     def predict_raw(self, X):
-        """Raw scores of shape ``(n, n_params)``."""
-        if self.trees_ is None:
+        """Raw scores of shape ``(n, n_params)``.
+
+        One walk sorts every (row, tree) pair into its leaf; each
+        parameter's score is then the initial score followed by its
+        trees' scaled leaf values, summed by a ``cumsum`` along the tree
+        axis — the sequential, batch-independent order of adding one
+        tree at a time.
+        """
+        forest = self.forest_
+        if forest is None:
             raise RuntimeError("model is not fitted")
         X = np.asarray(X, dtype=np.float64)
-        raw = np.tile(self.init_raw_, (X.shape[0], 1))
-        for round_trees in self.trees_:
-            for p, tree in enumerate(round_trees):
-                raw[:, p] += self.learning_rate * tree.predict(X)
-        return raw
+        n, n_params = X.shape[0], self.init_raw_.size
+        n_rounds = forest.roots.size // n_params
+        steps = np.empty((n, 1 + n_rounds, n_params))
+        steps[:, 0] = self.init_raw_
+        contributions = self.learning_rate * forest.leaf_value[forest.leaves(X)]
+        steps[:, 1:] = contributions.reshape(n, n_rounds, n_params)
+        return np.cumsum(steps, axis=1)[:, -1]
 
     def predict(self, X):
         """Point prediction (mean parameter)."""
@@ -220,12 +245,10 @@ class GradientBoostingModel:
     # ------------------------------------------------------------------
     @property
     def n_trees(self):
-        if self.trees_ is None:
-            return 0
-        return sum(len(r) for r in self.trees_)
+        return 0 if self.forest_ is None else int(self.forest_.roots.size)
 
     def byte_size(self):
-        """Approximate in-memory model size (bytes)."""
-        if self.trees_ is None:
+        """In-memory model size (bytes): every array the fitted model holds."""
+        if self.forest_ is None:
             return 0
-        return int(sum(t.byte_size() for round_trees in self.trees_ for t in round_trees))
+        return int(sum(a.nbytes for a in self.forest_) + self.init_raw_.nbytes)

@@ -4,7 +4,11 @@ This is the tree learner underneath :mod:`repro.ml.gbm`.  Features are
 quantile-binned once per boosting run (:class:`Binner`), and each tree finds
 greedy splits over bin histograms of gradient/Hessian sums — the same
 strategy as LightGBM/XGBoost's ``hist`` mode.  Trees are grown depth-wise
-and stored in flat arrays so prediction is a tight vectorized loop.
+into node-indexed arrays; a fitted tree is then handed over in the packed
+layout (:meth:`RegressionTree.packed`) that a boosting model concatenates
+into one flat node table and walks for all its trees at once.  The learner
+itself never predicts: a tree's only answers are the training rows' leaf
+values that :meth:`RegressionTree.fit_predict` returns.
 
 The split search evaluates every candidate feature of a node in one pass
 (:class:`_SplitCandidates`): each feature's bin codes are offset into their
@@ -21,9 +25,11 @@ keeps the loop as the oracle).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-__all__ = ["Binner", "RegressionTree"]
+__all__ = ["Binner", "PackedForest", "RegressionTree"]
 
 _MAX_BINS_LIMIT = 255
 
@@ -132,11 +138,16 @@ class RegressionTree:
     The leaf value is the Newton step ``-G / (H + reg_lambda)``; the split
     gain is the standard XGBoost gain.  A split is found on bin codes
     (``bin <= k``) but stored as its raw threshold, the bin's upper edge
-    ``edges[k]``, so :meth:`predict` walks raw feature matrices and the
+    ``edges[k]``, so a walk over raw feature matrices follows it and the
     fitted tree holds no binning state.  The two rules send every value
     the same way: ``Binner.transform`` codes ``x`` as the number of edges
     below it, which is at most ``k`` exactly when ``x <= edges[k]`` (NaN
     and +inf code past every edge and go right, -inf goes left).
+
+    The tree is the learner only.  :meth:`fit_predict` grows it into
+    node-indexed arrays (``value_`` on every node, ``is_leaf_`` flags)
+    and :meth:`packed` hands it over in the layout a
+    :class:`~repro.ml.gbm.GradientBoostingModel` stores and walks.
 
     Parameters
     ----------
@@ -199,7 +210,7 @@ class RegressionTree:
         """:meth:`fit`, then return the leaf value of every training row.
 
         Growing the tree already sorts each training row into its leaf,
-        so the result equals ``predict(X)`` on the raw rows ``binned``
+        so the result equals a raw-threshold walk of the rows ``binned``
         was coded from, without a second walk down the tree.
         """
         n_samples, n_features = binned.shape
@@ -331,37 +342,96 @@ class RegressionTree:
         self.is_leaf_ = self.is_leaf_[:n]
 
     # ------------------------------------------------------------------
-    # prediction
+    # hand-over
     # ------------------------------------------------------------------
-    def predict(self, X):
-        """Predict leaf values for a raw (un-binned) feature matrix."""
-        X = np.asarray(X, dtype=np.float64)
-        n = X.shape[0]
-        node_ids = np.zeros(n, dtype=np.int32)
-        active = ~self.is_leaf_[node_ids]
-        while active.any():
-            rows = np.nonzero(active)[0]
-            nids = node_ids[rows]
-            feats = self.feature_[nids]
-            thresh = self.threshold_[nids]
-            go_left = X[rows, feats] <= thresh
-            node_ids[rows[go_left]] = self.left_[nids[go_left]]
-            node_ids[rows[~go_left]] = self.right_[nids[~go_left]]
-            active = ~self.is_leaf_[node_ids]
-        return self.value_[node_ids]
+    def packed(self):
+        """This tree as a one-tree :class:`PackedForest`.
 
-    @property
-    def n_leaves(self):
-        return int(self.is_leaf_.sum())
-
-    def byte_size(self):
-        """Approximate in-memory size of the fitted tree (bytes)."""
-        arrays = (
-            self.feature_,
-            self.threshold_,
-            self.left_,
-            self.right_,
-            self.value_,
-            self.is_leaf_,
+        Internal nodes and leaves are each numbered from 0 in node order;
+        a stump whose root is a leaf has root ``~0 == -1``.  Internal
+        nodes keep no value: no walk reads one.
+        """
+        internal = ~self.is_leaf_
+        ref = np.where(internal, np.cumsum(internal) - 1, ~(np.cumsum(self.is_leaf_) - 1))
+        ref = ref.astype(np.int32)
+        return PackedForest(
+            self.feature_[internal],
+            self.threshold_[internal],
+            ref[self.left_[internal]],
+            ref[self.right_[internal]],
+            self.value_[self.is_leaf_],
+            ref[:1],
         )
-        return int(sum(a.nbytes for a in arrays))
+
+
+class PackedForest(NamedTuple):
+    """Fitted trees as one flat node table, in LightGBM's layout.
+
+    ``feature``/``threshold``/``left``/``right`` describe the internal
+    nodes of every tree; a child reference ``c >= 0`` is internal node
+    ``c`` and ``c < 0`` is leaf ``~c`` of ``leaf_value``.  ``roots``
+    holds one reference per tree, in tree order.
+    """
+
+    feature: np.ndarray  # int32, per internal node
+    threshold: np.ndarray  # float64: go left when x <= threshold
+    left: np.ndarray  # int32 node references
+    right: np.ndarray
+    leaf_value: np.ndarray  # float64, per leaf
+    roots: np.ndarray  # int32, per tree
+
+    @classmethod
+    def join(cls, forests):
+        """Concatenate ``forests`` into one, their trees in order.
+
+        Each forest's node references are renumbered past the internal
+        nodes and leaves of the ones before it (``~leaf`` shifts down by
+        the leaves before).
+        """
+        if not forests:  # a fit with no boosting rounds keeps only its initial score
+            no_refs, no_values = np.empty(0, dtype=np.int32), np.empty(0)
+            return cls(no_refs, no_values, no_refs, no_refs, no_values, no_refs)
+        feature, threshold, left, right, leaf_value, roots = zip(*forests)
+        n_internal = np.array([a.size for a in feature], dtype=np.int32)
+        n_leaves = np.array([a.size for a in leaf_value], dtype=np.int32)
+        internal_before = np.cumsum(n_internal, dtype=np.int32) - n_internal
+        leaves_before = np.cumsum(n_leaves, dtype=np.int32) - n_leaves
+
+        def renumber(refs, per_forest):
+            refs = np.concatenate(refs)
+            shift = np.where(
+                refs >= 0,
+                np.repeat(internal_before, per_forest),
+                -np.repeat(leaves_before, per_forest),
+            )
+            return refs + shift
+
+        return cls(
+            np.concatenate(feature),
+            np.concatenate(threshold),
+            renumber(left, n_internal),
+            renumber(right, n_internal),
+            np.concatenate(leaf_value),
+            renumber(roots, [a.size for a in roots]),
+        )
+
+    def leaves(self, X):
+        """The leaf every (row, tree) pair of ``X`` reaches, shape ``(n, trees)``.
+
+        All pairs step down together, one vectorized step per tree level
+        (at most ``max_depth`` steps); a pair leaves the active set once
+        its node reference is a leaf.  A row goes left when
+        ``x <= threshold``, so NaN goes right.
+        """
+        n, n_features = X.shape
+        n_trees = self.roots.size
+        node = np.tile(self.roots, n)  # pair ``i`` is row ``i // n_trees``
+        values = X.ravel()
+        active = np.flatnonzero(node >= 0)
+        while active.size:
+            nid = node[active]
+            x = values[active // n_trees * n_features + self.feature[nid]]
+            child = np.where(x <= self.threshold[nid], self.left[nid], self.right[nid])
+            node[active] = child
+            active = active[child >= 0]
+        return ~node.reshape(n, n_trees)

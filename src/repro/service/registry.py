@@ -56,7 +56,8 @@ from repro.global_model.serialization import load_global_model, save_global_mode
 
 __all__ = ["ModelRegistry", "decode_state", "encode_state"]
 
-_FORMAT_VERSION = 1
+#: 2: a fitted GBM pickles as packed forest tables, with no tree objects
+_FORMAT_VERSION = 2
 _STATE_FILE = "state.pkl"
 _GLOBAL_FILE = "global.npz"
 _MANIFEST_FILE = "manifest.json"

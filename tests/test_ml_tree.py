@@ -8,6 +8,30 @@ from hypothesis import strategies as st
 from repro.ml.tree import Binner, RegressionTree, _NodeBatch, _SplitCandidates
 
 
+def tree_predict(tree, X):
+    """The per-tree raw-feature walk, kept as the oracle for the packed
+    forest's walk (:meth:`PackedForest.leaves`): each level moves the
+    rows still at an internal node to a child, ``x <= threshold`` going
+    left, and every row ends on its leaf's value."""
+    X = np.asarray(X, dtype=np.float64)
+    node_ids = np.zeros(X.shape[0], dtype=np.int32)
+    active = ~tree.is_leaf_[node_ids]
+    while active.any():
+        rows = np.nonzero(active)[0]
+        nids = node_ids[rows]
+        go_left = X[rows, tree.feature_[nids]] <= tree.threshold_[nids]
+        node_ids[rows[go_left]] = tree.left_[nids[go_left]]
+        node_ids[rows[~go_left]] = tree.right_[nids[~go_left]]
+        active = ~tree.is_leaf_[node_ids]
+    return tree.value_[node_ids]
+
+
+def packed_predict(tree, X):
+    """Leaf values ``X`` reaches through ``tree`` packed as a one-tree forest."""
+    forest = tree.packed()
+    return forest.leaf_value[forest.leaves(np.asarray(X, dtype=np.float64))[:, 0]]
+
+
 def _fit_tree_to_targets(X, y, **kwargs):
     """Helper: fit a tree directly to squared-loss gradients of y."""
     binner = Binner(max_bins=32).fit(X)
@@ -63,7 +87,7 @@ class TestRegressionTree:
         X = np.concatenate([np.zeros(50), np.ones(50)])[:, None]
         y = np.concatenate([np.full(50, -1.0), np.full(50, 3.0)])
         tree = _fit_tree_to_targets(X, y, max_depth=2)
-        pred = tree.predict(X)
+        pred = tree_predict(tree, X)
         np.testing.assert_allclose(pred, y, atol=1e-9)
 
     def test_depth_zero_returns_mean(self):
@@ -71,7 +95,7 @@ class TestRegressionTree:
         X = rng.normal(size=(100, 2))
         y = rng.normal(size=100)
         tree = _fit_tree_to_targets(X, y, max_depth=0)
-        pred = tree.predict(X)
+        pred = tree_predict(tree, X)
         np.testing.assert_allclose(pred, np.full(100, y.mean()), atol=1e-9)
 
     def test_min_samples_leaf_respected(self):
@@ -83,7 +107,7 @@ class TestRegressionTree:
         tree.fit(binned, -y, np.ones_like(y), binner)
         # No leaf may contain fewer than 5 training rows.
         leaves = {}
-        pred_bins = tree.predict(X)
+        pred_bins = tree_predict(tree, X)
         for v in pred_bins:
             leaves[v] = leaves.get(v, 0) + 1
         assert min(leaves.values()) >= 5
@@ -115,7 +139,7 @@ class TestRegressionTree:
         for depth in (1, 3, 6):
             tree = RegressionTree(max_depth=depth, min_samples_leaf=2)
             leaf_values = tree.fit_predict(binned, -y, np.ones(n), binner)
-            assert leaf_values.tobytes() == tree.predict(X).tobytes()
+            assert leaf_values.tobytes() == tree_predict(tree, X).tobytes()
             assert not tree.is_leaf_[0]
 
             probes = [X[:8]]
@@ -139,24 +163,48 @@ class TestRegressionTree:
                     assert binner.bin_edges_[feat][k] == tree.threshold_[nid]
                     nid = tree.left_[nid] if row[feat] <= k else tree.right_[nid]
                 want[r] = nid
-            # number the nodes so the raw walk reports the leaf it reached
+            # number the nodes so both raw walks report the leaf they reached
             tree.value_ = np.arange(tree.n_nodes_, dtype=np.float64)
-            assert (tree.predict(P) == want).all()
+            assert (tree_predict(tree, P) == want).all()
+            assert (packed_predict(tree, P) == want).all()
 
     def test_reduces_squared_loss_vs_constant(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(400, 3))
         y = np.sin(X[:, 0]) + 0.5 * X[:, 1]
         tree = _fit_tree_to_targets(X, y, max_depth=5)
-        pred = tree.predict(X)
+        pred = tree_predict(tree, X)
         assert np.mean((pred - y) ** 2) < np.var(y)
 
-    def test_n_leaves_and_byte_size(self):
+    def test_packed_keeps_splits_and_leaves(self):
+        """The packed tree holds the internal nodes' splits and the
+        leaves' values in node order, children of leaves as ``~leaf``."""
         X = np.arange(100, dtype=float)[:, None]
-        y = (X[:, 0] > 50).astype(float)
+        y = (X[:, 0] > 50).astype(float) + (X[:, 0] > 80)
         tree = _fit_tree_to_targets(X, y, max_depth=3)
-        assert tree.n_leaves >= 2
-        assert tree.byte_size() > 0
+        forest = tree.packed()
+        internal = np.flatnonzero(~tree.is_leaf_)
+        leaves = np.flatnonzero(tree.is_leaf_)
+        assert leaves.size >= 2
+        assert forest.feature.tolist() == tree.feature_[internal].tolist()
+        assert forest.threshold.tobytes() == tree.threshold_[internal].tobytes()
+        assert forest.leaf_value.tobytes() == tree.value_[leaves].tobytes()
+        ref = {int(nid): k for k, nid in enumerate(internal)}
+        ref.update({int(nid): ~k for k, nid in enumerate(leaves)})
+        assert forest.left.tolist() == [ref[c] for c in tree.left_[internal]]
+        assert forest.right.tolist() == [ref[c] for c in tree.right_[internal]]
+        assert forest.roots.tolist() == [0]
+        assert packed_predict(tree, X).tobytes() == tree_predict(tree, X).tobytes()
+
+    def test_packed_stump_root_is_a_leaf(self):
+        X = np.arange(30, dtype=float)[:, None]
+        y = np.arange(30, dtype=float)
+        tree = _fit_tree_to_targets(X, y, max_depth=0)
+        forest = tree.packed()
+        assert forest.feature.size == forest.left.size == forest.right.size == 0
+        assert forest.roots.tolist() == [-1]
+        assert forest.leaf_value.tobytes() == tree.value_.tobytes()
+        assert packed_predict(tree, X).tobytes() == tree_predict(tree, X).tobytes()
 
     @given(
         st.integers(min_value=10, max_value=80),
@@ -170,7 +218,7 @@ class TestRegressionTree:
         X = rng.normal(size=(n, 2))
         y = rng.uniform(-5, 5, size=n)
         tree = _fit_tree_to_targets(X, y, max_depth=depth)
-        pred = tree.predict(X)
+        pred = tree_predict(tree, X)
         assert pred.min() >= y.min() - 1e-9
         assert pred.max() <= y.max() + 1e-9
 
@@ -328,7 +376,7 @@ class TestSinglePassSplitSearch:
             got, want = getattr(tree, name), getattr(reference, name)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), name
-        assert leaf_values.tobytes() == reference.predict(X).tobytes()
+        assert leaf_values.tobytes() == tree_predict(reference, X).tobytes()
 
     def test_only_constant_features_gives_a_leaf(self):
         X = np.column_stack([np.full(40, 2.0), np.full(40, -1.0)])

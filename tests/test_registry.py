@@ -185,9 +185,30 @@ def _replay_segment(stage, trace, start, stop):
 
 
 def _instance_trace():
-    gen = FleetGenerator(FleetConfig(seed=5, volume_scale=0.1))
-    instance = gen.sample_instance(0)
-    return instance, gen.generate_trace(instance, 0.7)
+    """A 209-query trace whose first half trains the local ensemble, so
+    the state bytes carry a fitted ensemble that answers after the cut."""
+    gen = FleetGenerator(FleetConfig(seed=5, volume_scale=0.5))
+    instance = gen.sample_instance(2)
+    return instance, gen.generate_trace(instance, 0.5)
+
+
+def _warm_stage():
+    """A stage replayed through the first half of :func:`_instance_trace`."""
+    instance, trace = _instance_trace()
+    n_warm = len(trace) // 2
+    stage = StagePredictor(instance, config=fast_profile(), random_state=0)
+    _replay_segment(stage, trace, 0, n_warm)
+    assert stage.local.is_ready
+    return stage, trace, n_warm
+
+
+def _sources(stage, trace, start, stop):
+    """The source of each prediction over ``trace[start:stop)`` (fused)."""
+    sources = []
+    for i in range(start, stop):
+        sources.append(str(stage.predict(trace[i]).source))
+        stage.observe(trace[i])
+    return sources
 
 
 def _decode_state_and_predict(args):
@@ -204,12 +225,12 @@ def _decode_state_and_predict(args):
 class TestInstanceStates:
     def test_roundtrip_is_bit_identical(self):
         """Encoding one instance mid-stream and decoding it continues the
-        stream bit-for-bit — the property live migration rests on."""
-        instance, trace = _instance_trace()
-        n_warm = len(trace) // 2
-        stage = StagePredictor(instance, config=fast_profile(), random_state=0)
-        _replay_segment(stage, trace, 0, n_warm)
+        stream bit-for-bit — the property live migration rests on.  The
+        cut falls after the local ensemble trained, so a packed forest
+        crosses it and answers after it."""
+        stage, trace, n_warm = _warm_stage()
         data = encode_state(stage)
+        assert "local" in _sources(decode_state(data), trace, n_warm, len(trace))
 
         want = _replay_segment(stage, trace, n_warm, len(trace))
         got = _replay_segment(decode_state(data), trace, n_warm, len(trace))
@@ -222,17 +243,28 @@ class TestInstanceStates:
         import pickle
         from concurrent.futures import ProcessPoolExecutor
 
-        instance, trace = _instance_trace()
-        n_warm = len(trace) // 2
-        stage = StagePredictor(instance, config=fast_profile(), random_state=0)
-        _replay_segment(stage, trace, 0, n_warm)
+        stage, trace, n_warm = _warm_stage()
         data = encode_state(stage)
+        assert "local" in _sources(decode_state(data), trace, n_warm, len(trace))
         want = _replay_segment(stage, trace, n_warm, len(trace))
 
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
             payload = pool.submit(_decode_state_and_predict, (data, n_warm)).result(timeout=300)
         assert np.array_equal(pickle.loads(payload), want)
+
+    def test_version_1_state_is_refused(self, monkeypatch):
+        """Version 1 states pickled each fitted GBM as tree objects; a
+        version-2 decoder refuses them rather than decode a model that
+        has no packed forest."""
+        import repro.service.registry as registry_module
+
+        stage, _, _ = _warm_stage()
+        monkeypatch.setattr(registry_module, "_FORMAT_VERSION", 1)
+        data = encode_state(stage)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="unsupported format version 1"):
+            decode_state(data)
 
     def test_truncated_bytes_name_the_artifact(self, instance):
         data = encode_state(StagePredictor(instance, config=fast_profile()))
@@ -268,12 +300,9 @@ class TestWholeOrAbsent:
     def test_failed_save_leaves_the_previous_snapshot_whole(self, registry, monkeypatch):
         import repro.service.registry as registry_module
 
-        instance, trace = _instance_trace()
-        n_warm = len(trace) // 2
-        stage = StagePredictor(instance, config=fast_profile(), random_state=0)
-        _replay_segment(stage, trace, 0, n_warm)
+        stage, trace, n_warm = _warm_stage()
         _snapshot_service(registry, stage, "snap")
-        before = registry.load_state("snap", instance.instance_id)
+        before = registry.load_state("snap", stage.instance.instance_id)
         want = _replay_segment(decode_state(before), trace, n_warm, len(trace))
 
         # the next epoch: more ops applied, a global model attached, and
@@ -290,7 +319,7 @@ class TestWholeOrAbsent:
 
         assert registry.list_snapshots() == ["snap"]
         assert os.listdir(registry.root) == ["snap"]  # the staging directory is gone
-        assert registry.load_state("snap", instance.instance_id) == before
+        assert registry.load_state("snap", stage.instance.instance_id) == before
         assert not registry.load_manifest("snap")["has_global_model"]
         restored = PredictionService.restore(registry, "snap")
         restored.close()
