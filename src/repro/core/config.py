@@ -197,16 +197,18 @@ class ServiceConfig:
     local ensemble are deferred and served by one batched ensemble call
     once ``max_batch_size`` of them are pending or the sequenced op
     stream stalls with nothing left to pull.  ``max_batch_latency_ms``
-    only bounds how long a batch may hold for a sequence gap with later
-    ops already queued behind it.  Batch boundaries never change any
-    prediction bit (the ensemble is frozen between retrains), so these
-    are pure latency/throughput knobs.
+    only bounds how long a stalled batch may hold for work on its way:
+    a sequence gap with later ops already queued behind it, or the
+    client of an immediately answered predict coming back.  Batch
+    boundaries never change any prediction bit (the ensemble is frozen
+    between retrains), so these are pure latency/throughput knobs.
     """
 
     #: deferred (model-bound) predictions served per batched model call
     max_batch_size: int = 32
-    #: how long a batch may hold for a sequence gap to fill when later
-    #: ops are already queued behind it (ms)
+    #: how long a stalled batch may hold for work on its way — a
+    #: sequence gap with later ops queued behind it, or the client of
+    #: an immediately answered predict coming back (ms)
     max_batch_latency_ms: float = 2.0
     #: also compute local-ensemble answers for cache hits (component
     #: collection, used by the replay harness's serving modes)

@@ -94,11 +94,7 @@ def hash_feature_vector(vec) -> str:
     top-200 instances.  We use a 128-bit blake2b over the rounded bytes,
     making collisions vanishingly unlikely while keeping the key small.
     """
-    # ``np.round(x, 9)`` is ``rint(x * 1e9) / 1e9``; its three steps and
-    # the -0.0 -> 0.0 normalization (so equal vectors always hash
-    # identically) run in place on one fresh buffer
-    rounded = np.multiply(np.asarray(vec, dtype=np.float64), 1e9)
-    np.rint(rounded, out=rounded)
-    np.divide(rounded, 1e9, out=rounded)
-    np.add(rounded, 0.0, out=rounded)
+    rounded = np.round(np.asarray(vec, dtype=np.float64), 9)
+    # normalize -0.0 to 0.0 so equal vectors always hash identically
+    rounded = rounded + 0.0
     return hashlib.blake2b(rounded.tobytes(), digest_size=16).hexdigest()

@@ -14,16 +14,21 @@ whose answer needs the local ensemble is *deferred* (the underlying
 and the worker flushes one batched ensemble call once
 ``max_batch_size`` predictions are pending or the in-sequence op
 stream stalls with nothing left to pull — whichever comes first.  The
-``max_batch_latency_ms`` window only bounds the one case where more
-work is verifiably in flight (ops queued past a sequence gap): the
-worker waits up to the window for the gap to fill, then flushes
-anyway.  Cache hits and cold-start routes resolve immediately — they
-never wait for the batch window.  Observes, and the local retrains they
-trigger, run inline on the worker thread too: a retrain delays every op
-queued behind it, cache hits included, until the fit returns.  In the
-serving benchmark's traced runs on a 2-vCPU host a ``fast_profile``
-retrain averages ~120 ms, so each one stalls its shard for about that
-long.
+``max_batch_latency_ms`` window only bounds a stall while more work is
+on its way: ops queued past a sequence gap, or — when the last predict
+pulled was answered immediately — that predict's client coming back (a
+closed-loop client with an answer submits again; one blocked on a
+deferred predict cannot).  The worker waits up to the window for that
+work, then flushes anyway: the cache hits of many concurrent clients
+keep flowing while their model-bound queries gather into one ensemble
+call, and a lone request-at-a-time client's deferred predict, the last
+one pulled, never waits.  Cache hits and cold-start routes resolve
+immediately — they never wait for the batch window.  Observes, and the
+local retrains they trigger, run inline on the worker thread too: a
+retrain delays every op queued behind it, cache hits included, until
+the fit returns.  In the serving benchmark's traced runs on a 2-vCPU
+host a ``fast_profile`` retrain averages ~120 ms, so each one stalls
+its shard for about that long.
 """
 
 from __future__ import annotations
@@ -324,6 +329,10 @@ class MicroBatchScheduler:
         stats = self.stats
         deadline: Optional[float] = None
         pending: List[Tuple[RoutedSlot, Future]] = []
+        #: the last predict pulled was answered at once, so its client —
+        #: unlike one blocked on a deferred predict — is free to submit
+        #: again; a closed-loop client does
+        returning = False
         while True:
             with self._cv:
                 # a pause request ends the batch at the next run boundary
@@ -336,14 +345,16 @@ class MicroBatchScheduler:
                     if not pending:
                         break  # idle: return to the blocking outer wait
                     # The in-sequence stream stalled (queue empty, gap, or
-                    # pause) with deferrals pending.  Under closed-loop
-                    # clients the deferred futures are exactly what the
-                    # stream is blocked on, so waiting out the batch
-                    # window would stall everyone for nothing — flush now
-                    # unless more work is verifiably in flight (already
-                    # queued past a gap), in which case wait briefly for
-                    # the gap to fill, bounded by the batch window.
-                    if not self._ops:
+                    # pause) with deferrals pending.  When the deferred
+                    # futures are all the stream is blocked on, waiting
+                    # out the batch window would stall everyone for
+                    # nothing — flush now.  Wait, bounded by the batch
+                    # window, only while more work is on its way: ops
+                    # already queued past a gap, or the client of an
+                    # immediate answer coming back.  A lone client's
+                    # deferred predict is the last one pulled, so it
+                    # never waits.
+                    if not self._ops and not returning:
                         break
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
@@ -368,6 +379,7 @@ class MicroBatchScheduler:
                     op.future.set_exception(exc)
                 continue
             for op, slot in zip(run, slots):
+                returning = slot.ready
                 if slot.ready:
                     # cache hit or cold-start route: answer immediately
                     stats["n_immediate"] += 1

@@ -1,11 +1,7 @@
 """Tests for the plan substrate: operators, trees, featurizations."""
 
-import hashlib
-
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.plans import (
     FEATURE_DIM,
@@ -183,38 +179,6 @@ class TestHashing:
         vecs = rng.normal(size=(500, 33))
         hashes = {hash_feature_vector(v) for v in vecs}
         assert len(hashes) == 500
-
-
-def hash_feature_vector_reference(vec) -> str:
-    """The cache key as first written: ``np.round`` to 9 decimals, then
-    ``+ 0.0`` to fold -0.0 into 0.0, then blake2b of the bytes."""
-    rounded = np.round(np.asarray(vec, dtype=np.float64), 9)
-    rounded = rounded + 0.0
-    return hashlib.blake2b(rounded.tobytes(), digest_size=16).hexdigest()
-
-
-_KEY_EDGE_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 0.5e-9, -0.5e-9, 1.5e-9, 2.5e-9, 1e-10]
-
-
-class TestHashReference:
-    @given(
-        st.lists(
-            st.one_of(
-                st.floats(allow_nan=True, allow_infinity=True),
-                st.floats(min_value=-1e6, max_value=1e6),
-                st.sampled_from(_KEY_EDGE_VALUES),
-                st.integers(min_value=-(2**40), max_value=2**40),
-            ),
-            max_size=40,
-        ),
-        st.booleans(),
-    )
-    def test_key_bytes_match_np_round(self, values, as_array):
-        vec = np.array(values, dtype=np.float64) if as_array else values
-        before = np.array(vec, dtype=np.float64)
-        with np.errstate(all="ignore"):
-            assert hash_feature_vector(vec) == hash_feature_vector_reference(vec)
-        assert np.array(vec, dtype=np.float64).tobytes() == before.tobytes()  # input untouched
 
 
 class TestGraphFeaturization:

@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.core.config import GlobalModelConfig, ReplayBackend, ServiceConfig, fast_profile
-from repro.core.stage import BatchRouter, StagePredictor
+from repro.core.stage import BatchRouter, RoutedSlot, StagePredictor
 from repro.global_model import GlobalModelTrainer, save_global_model
 from repro.harness import replay_instance
 from repro.scenarios import registered_scenarios
@@ -34,6 +34,7 @@ from repro.service import (
     replay_trace_via_client,
     shared_client,
 )
+from repro.service.scheduler import OBSERVE, PREDICT, MicroBatchScheduler
 from repro.workload import FleetConfig, FleetGenerator
 
 from replay_parity import assert_replays_identical
@@ -376,6 +377,93 @@ class TestScheduler:
                 t.join()
             assert all(r is not None for r in results)
             assert service.stats()["scheduler"]["n_predicts"] == len(records)
+
+
+class _ScriptedRouter:
+    """Router stand-in: the record ``"hit"`` is answered at once, any
+    other record defers to the next flush, which logs the rows it
+    serves."""
+
+    def __init__(self):
+        self.flushes = []
+        self._pending = []
+
+    @property
+    def has_pending(self):
+        return bool(self._pending)
+
+    def route_batch(self, records):
+        slots = [RoutedSlot(record if record == "hit" else None) for record in records]
+        self._pending += [(slot, record) for slot, record in zip(slots, records) if not slot.ready]
+        return slots
+
+    def observe(self, record):
+        pass
+
+    def flush(self):
+        self.flushes.append([record for _, record in self._pending])
+        for slot, record in self._pending:
+            slot.components = record
+        self._pending = []
+
+
+class TestBatchHold:
+    """A stalled batch holds for the client of an immediate answer, and
+    only for it, bounded by ``max_batch_latency_ms``."""
+
+    def _scheduler(self, window_ms=60_000.0):
+        router = _ScriptedRouter()
+        config = ServiceConfig(max_batch_size=16, max_batch_latency_ms=window_ms)
+        return router, MicroBatchScheduler(router, config)
+
+    def test_lone_client_deferred_predict_never_waits(self):
+        # one request-at-a-time client: a hit, then a model-bound query;
+        # its deferred predict is the last one pulled, so the batch
+        # flushes at once instead of holding for the 60 s window
+        router, scheduler = self._scheduler()
+        try:
+            with scheduler.paused():
+                hit = scheduler.submit(PREDICT, "hit")
+                scheduler.submit(OBSERVE, "hit")
+                deferred = scheduler.submit(PREDICT, "q0")
+                scheduler.submit(OBSERVE, "q0")
+            assert hit.result(timeout=10) == "hit"
+            assert deferred.result(timeout=10) == "q0"
+        finally:
+            scheduler.close()
+        assert router.flushes == [["q0"]]
+
+    def test_batch_holds_for_an_answered_client(self):
+        router, scheduler = self._scheduler()
+        try:
+            with scheduler.paused():
+                first = scheduler.submit(PREDICT, "q0")
+                scheduler.submit(PREDICT, "hit")
+            time.sleep(0.2)
+            # the hit's client is on its way back, so q0 waits for it
+            assert not first.done()
+            second = scheduler.submit(PREDICT, "q1")
+            assert first.result(timeout=10) == "q0"
+            assert second.result(timeout=10) == "q1"
+        finally:
+            scheduler.close()
+        # q1 joined q0's batch: one ensemble call served both
+        assert router.flushes == [["q0", "q1"]]
+
+    def test_hold_ends_at_the_batch_window(self):
+        router, scheduler = self._scheduler(window_ms=50.0)
+        try:
+            start = time.monotonic()
+            with scheduler.paused():
+                deferred = scheduler.submit(PREDICT, "q0")
+                scheduler.submit(PREDICT, "hit")
+            # the hit's client never comes back: q0 is served once the
+            # window runs out
+            assert deferred.result(timeout=10) == "q0"
+            assert time.monotonic() - start >= 0.05
+        finally:
+            scheduler.close()
+        assert router.flushes == [["q0"]]
 
 
 # ---------------------------------------------------------------------------
