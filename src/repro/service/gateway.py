@@ -23,12 +23,15 @@ Architecture
   :class:`~repro.service.FleetController`) rewrites entries live; every
   rewrite bumps the table version.  Each shard process owns one
   ``PredictionService`` per instance assigned to it.
-- **Batched transport.** Ops travel in *envelopes*: the submitting
-  thread flushes the per-shard outbox into one ``request_q.put``
-  inline — unless a flush is already in flight, in which case that
-  flusher ships everything that accumulated as the next envelope (one
-  pickle, one queue hop for however many ops piled up, and no handoff
-  to a dedicated sender thread on the fast path) — and the shard
+- **Batched transport.** Ops travel in *envelopes*.  Every instance op
+  enters through :meth:`FleetGateway.submit_batch` (``predict_async``
+  and ``observe`` are one-op calls of it): a batch claims its ops'
+  sequence slots in order, holds them in each shard's outbox and
+  flushes once, so a batch's ops for one shard ship as one envelope
+  (one pickle, one queue hop).  A flush that finds another in flight
+  leaves its ops to that flusher, which ships everything that
+  accumulated as the next envelope — no handoff to a dedicated sender
+  thread on the fast path — and the shard
   symmetrically batches acks + responses into ``(credits, responses)``
   envelopes on the way back.  Capacity is
   enforced by a **credit** scheme equivalent to the old bounded queue:
@@ -89,7 +92,7 @@ from multiprocessing import connection as mp_connection
 from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import GatewayConfig, ServiceConfig, StageConfig
 from repro.core.stage import StagePredictor
@@ -205,12 +208,15 @@ _ACK_GRACE_S = 0.002
 class _Outbox:
     """Single-flusher inline batcher over one process queue.
 
-    :meth:`put` appends under a lock and flushes *inline* in the calling
-    thread — unless a flush is already in flight, in which case that
-    flusher ships whatever accumulated as one envelope on its next pass:
-    one pickle and one peer wakeup per batch, append order preserved,
-    and no dedicated sender thread on the fast path.  The parent uses
-    one per shard for requests (``[ops]`` envelopes).
+    :meth:`hold` appends an item without shipping it; :meth:`flush`
+    ships what is held *inline* in the calling thread — unless a flush
+    is already in flight, in which case that flusher ships whatever
+    accumulated as one envelope on its next pass: one pickle and one
+    peer wakeup per batch, append order preserved, and no dedicated
+    sender thread on the fast path.  :meth:`put` is the two in one.
+    The parent uses one per shard for requests (``[ops]`` envelopes);
+    a submit batch holds its ops and flushes once, so however many ops
+    it carries for a shard ride one envelope.
     """
 
     def __init__(self, queue):
@@ -218,23 +224,35 @@ class _Outbox:
         self._cond = threading.Condition()
         self._items: List[tuple] = []
         self._sending = False
+        #: envelopes shipped and the items they carried
+        self.n_envelopes = 0
+        self.n_items = 0
 
-    def put(self, item: tuple) -> None:
+    def hold(self, item: tuple) -> None:
         with self._cond:
             self._items.append(item)
-            if self._sending:
+
+    def flush(self) -> None:
+        with self._cond:
+            if self._sending or not self._items:
                 return  # the in-flight flusher ships it next pass
             self._sending = True
-        self._flush()
+        self._ship()
+
+    def put(self, item: tuple) -> None:
+        self.hold(item)
+        self.flush()
 
     def _take(self):
         """The next envelope, or ``None`` when dry (lock held)."""
         if not self._items:
             return None
         envelope, self._items = self._items, []
+        self.n_envelopes += 1
+        self.n_items += len(envelope)
         return envelope
 
-    def _flush(self) -> None:
+    def _ship(self) -> None:
         """Ship envelopes until dry; only the thread that set
         ``_sending`` runs this loop."""
         while True:
@@ -313,7 +331,7 @@ class _ResponseOutbox(_Outbox):
                 if not self._acks or self._sending:
                     continue
                 self._sending = True
-            self._flush()
+            self._ship()
 
     def close(self) -> None:
         """Flush everything still queued, then stop the lazy flusher."""
@@ -324,7 +342,7 @@ class _ResponseOutbox(_Outbox):
         self.wait_idle(5.0)
         with self._cond:
             self._sending = True
-        self._flush()  # ships what is left; returns at once when dry
+        self._ship()  # ships what is left; returns at once when dry
 
 
 def _fresh_handoff(state: bytes, artifact: str) -> dict:
@@ -469,6 +487,7 @@ class _Shard:
         "response_q",
         "listener",
         "outbox",
+        "response_envelopes",
         "credits",
         "depth",
         "credits_cond",
@@ -488,6 +507,8 @@ class _Shard:
         #: ops awaiting the next envelope (FIFO); flushed inline by the
         #: submitting thread unless a flush is already in flight
         self.outbox = _Outbox(request_q)
+        #: ``(credits, responses)`` envelopes the listener has taken in
+        self.response_envelopes = 0
         #: submit capacity: one credit per op the shard has not yet
         #: dequeued; ``queue_size`` total, exactly the old queue bound
         self.credits = credits
@@ -649,6 +670,7 @@ class FleetGateway:
             return
 
     def _dispatch_envelope(self, shard: _Shard, envelope) -> None:
+        shard.response_envelopes += 1
         credits, responses = envelope
         if credits:
             self._release_credits(shard, credits)
@@ -724,7 +746,12 @@ class FleetGateway:
             raise ShardCrashedError(shard.index, instance_id)
 
     def _acquire_credit(
-        self, shard: _Shard, timeout: float, op_id: int, instance_id: Optional[str]
+        self,
+        shard: _Shard,
+        timeout: float,
+        op_id: int,
+        instance_id: Optional[str],
+        held: Optional[Dict[int, _Shard]] = None,
     ) -> None:
         """Take one submit credit, or shed the op after ``timeout``.
 
@@ -735,8 +762,15 @@ class FleetGateway:
         :class:`GatewayBackpressureError` a full queue used to.  A
         crashed shard never returns credits; its waiters are woken by
         :meth:`_mark_crashed` and fall through (the op fails via the
-        pending sweep / :meth:`_crash_race_check` instead).
+        pending sweep / :meth:`_crash_race_check` instead).  A submit
+        batch passes the outboxes it ``held`` ops in: they ship before
+        any wait, because the credits the wait needs may be theirs.
         """
+        if held:
+            with shard.credits_cond:
+                must_wait = shard.credits <= 0 and not shard.crashed
+            if must_wait:
+                self._ship(held)
         deadline = time.monotonic() + timeout
         with shard.credits_cond:
             while shard.credits <= 0 and not shard.crashed:
@@ -755,23 +789,35 @@ class FleetGateway:
             shard.credits -= 1
             shard.depth += 1
 
+    @staticmethod
+    def _ship(held: Dict[int, _Shard]) -> None:
+        """Flush every outbox a submit batch holds ops in."""
+        for shard in held.values():
+            shard.outbox.flush()
+        held.clear()
+
     def _enqueue(
         self, shard: _Shard, op_id: int, message: tuple, instance_id: Optional[str] = None
     ) -> None:
         self._acquire_credit(shard, self.config.enqueue_timeout_s, op_id, instance_id)
         shard.outbox.put(message)
 
-    def _enqueue_instance_op(
+    def _hold_instance_op(
         self,
         shard: _Shard,
         kind: str,
         instance_id: str,
         record,
         seq: int,
+        held: Dict[int, _Shard],
         future: Optional[Future] = None,
     ) -> Tuple[int, Future]:
+        """Take a credit for one instance op and hold it in the shard's
+        outbox; the caller ships ``held`` when its batch ends."""
         op_id, future = self._register_pending(shard, instance_id, future)
-        self._enqueue(shard, op_id, (op_id, kind, (instance_id, record, seq)), instance_id)
+        self._acquire_credit(shard, self.config.enqueue_timeout_s, op_id, instance_id, held)
+        shard.outbox.hold((op_id, kind, (instance_id, record, seq)))
+        held[shard.index] = shard
         return op_id, future
 
     def _crash_race_check(self, shard: _Shard, op_id: int, instance_id: Optional[str]) -> None:
@@ -804,17 +850,67 @@ class FleetGateway:
                 f"instance {instance_id!r} is not registered with this gateway"
             ) from None
 
-    def _submit_instance_op(
-        self, kind: str, instance_id: str, record, seq: Optional[int]
-    ) -> Future:
+    def submit_batch(self, ops: Sequence[tuple]) -> List[object]:
+        """Submit instance ops ``(kind, instance_id, record, seq)`` in order.
+
+        The one way an instance op enters the fleet:
+        :meth:`predict_async` and :meth:`observe` are one-op calls of
+        it, and the wire front door hands it each session's bursts.
+        Ops claim their sequence slots one by one, in order, and wait
+        in their shards' outboxes; when the batch ends, each shard it
+        touched ships them as one envelope.  Whatever the batch holds
+        ships before it waits on anything (a credit, another
+        submitter's instance lock), so a batch never waits on its own
+        held ops.
+
+        Returns one entry per op: its future, or the exception that
+        refused it at submit — :class:`GatewayBackpressureError` for a
+        shed op (its sequence slot is rolled back), ``KeyError`` for an
+        unknown instance, :class:`ShardCrashedError` or
+        ``RuntimeError`` for a crashed shard or a closed gateway.  A
+        refused op never stops the ops behind it.
+        """
+        held: Dict[int, _Shard] = {}
+        outcomes: List[object] = []
+        shipped = []  # (position, shard, op_id, instance_id)
+        try:
+            for kind, instance_id, record, seq in ops:
+                try:
+                    future, sent = self._claim_and_hold(kind, instance_id, record, seq, held)
+                except Exception as exc:
+                    outcomes.append(exc)
+                    continue
+                if sent is not None:
+                    shipped.append((len(outcomes),) + sent)
+                outcomes.append(future)
+        finally:
+            self._ship(held)
+        for position, shard, op_id, instance_id in shipped:
+            try:
+                self._crash_race_check(shard, op_id, instance_id)
+            except ShardCrashedError as exc:
+                outcomes[position] = exc
+        return outcomes
+
+    def _claim_and_hold(self, kind: str, instance_id: str, record, seq, held):
+        """Claim one op's sequence slot and hold it for its shard.
+
+        Returns its future and, unless a migration buffered it, the
+        ``(shard, op_id, instance_id)`` to crash-check once shipped.
+        """
         lock = self._instance_lock(instance_id)
-        with lock:
+        if not lock.acquire(blocking=False):
+            self._ship(held)  # the lock's holder may be waiting on our credits
+            lock.acquire()
+        try:
             # Sequence claim, routing-entry read, migration check and
-            # enqueue (or buffer append) all happen under the instance's
+            # hold (or buffer append) all happen under the instance's
             # submit lock: a backpressure failure can roll the counter
             # back without leaving a gap, a migration's cut sequence
-            # linearizes against every claim, and a cutover can never
-            # interleave with a half-routed op.
+            # linearizes against every claim (the cut's export op
+            # flushes any op held below it, being queued behind it in
+            # the same outbox), and a cutover can never interleave with
+            # a half-routed op.
             migration = self._migrations.get(instance_id)
             shard = self._shards[self._instances[instance_id]]
             self._check_open(shard, instance_id)
@@ -829,15 +925,22 @@ class FleetGateway:
                 # target's reorder buffer makes flush order irrelevant
                 future: Future = Future()
                 migration.buffer.append((kind, record, seq, future))
-                return future
+                return future, None
             try:
-                op_id, future = self._enqueue_instance_op(shard, kind, instance_id, record, seq)
+                op_id, future = self._hold_instance_op(shard, kind, instance_id, record, seq, held)
             except GatewayBackpressureError:
                 if claimed:
                     self._instance_seq[instance_id] = seq
                 raise
-        self._crash_race_check(shard, op_id, instance_id)
-        return future
+        finally:
+            lock.release()
+        return future, (shard, op_id, instance_id)
+
+    def _submit_one(self, kind: str, instance_id: str, record, seq: Optional[int]) -> Future:
+        (outcome,) = self.submit_batch([(kind, instance_id, record, seq)])
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
 
     def _live_shards(self) -> List[_Shard]:
         return [shard for shard in self._shards if not shard.crashed]
@@ -936,7 +1039,7 @@ class FleetGateway:
     def predict_async(self, instance_id: str, record, seq: Optional[int] = None) -> Future:
         """Submit one prediction for ``instance_id``; resolves to its
         :class:`~repro.core.stage.RoutedComponents`."""
-        return self._submit_instance_op(PREDICT, instance_id, record, seq)
+        return self._submit_one(PREDICT, instance_id, record, seq)
 
     def predict(
         self,
@@ -952,7 +1055,7 @@ class FleetGateway:
 
     def observe(self, instance_id: str, record, seq: Optional[int] = None) -> Future:
         """Feed back one executed query to its instance's service."""
-        return self._submit_instance_op(OBSERVE, instance_id, record, seq)
+        return self._submit_one(OBSERVE, instance_id, record, seq)
 
     #: protocol-name alias (:class:`~repro.service.PredictorClient`)
     observe_async = observe
@@ -1084,9 +1187,10 @@ class FleetGateway:
                 try:
                     if target.crashed:
                         raise ShardCrashedError(target.index, instance_id)
-                    op_id, _ = self._enqueue_instance_op(
-                        target, kind, instance_id, record, seq, future
+                    op_id, _ = self._hold_instance_op(
+                        target, kind, instance_id, record, seq, {}, future
                     )
+                    target.outbox.flush()
                     self._crash_race_check(target, op_id, instance_id)
                     continue
                 except (GatewayBackpressureError, ShardCrashedError):
@@ -1248,6 +1352,7 @@ class FleetGateway:
                     "n_observes": sum(
                         s["scheduler"]["n_observes"] for s in per_instance.values()
                     ),
+                    **self._transport_counters(shard),
                 }
             )
         for shard in self._shards:
@@ -1260,6 +1365,7 @@ class FleetGateway:
                         "queue_depth": 0,
                         "n_predicts": 0,
                         "n_observes": 0,
+                        **self._transport_counters(shard),
                     }
                 )
         shards.sort(key=lambda row: row["shard"])
@@ -1299,6 +1405,17 @@ class FleetGateway:
             "shards": shards,
             "instances": instances,
             "routes": self.routes(),
+        }
+
+    @staticmethod
+    def _transport_counters(shard: _Shard) -> dict:
+        """How well the shard's transport batches: envelopes shipped to
+        it, the ops (control ops included) they carried, and envelopes
+        it answered with.  Cumulative over the shard's life."""
+        return {
+            "request_envelopes": shard.outbox.n_envelopes,
+            "request_ops": shard.outbox.n_items,
+            "response_envelopes": shard.response_envelopes,
         }
 
     @staticmethod

@@ -16,8 +16,8 @@ Every frame, both directions::
     u32 body_length | u8 op_code | u32 request_id | payload
 
 - ``body_length`` covers everything after the length word and is capped
-  by ``WireConfig.max_frame_bytes`` (oversized prefixes are rejected
-  with a structured error before any allocation).
+  by ``WireConfig.max_frame_bytes`` (an oversized prefix is rejected
+  with a structured error before its body is buffered).
 - ``request_id`` is chosen by the client and echoed verbatim on the
   response, so responses may arrive out of submission order (predictions
   resolve whenever their micro-batch flushes).  ``request_id`` 0 is
@@ -39,25 +39,42 @@ the gateway's process queues, so socket replays are bit-identical);
 ERROR and RETRY_AFTER payloads are JSON documents with machine-readable
 ``code`` fields — no client ever parses an exception message.
 
+Per-burst ingress
+-----------------
+The server works per socket read, not per frame.  It reads the socket in
+chunks of up to ``_READ_CHUNK`` bytes and splits off every complete
+frame a read delivers with :func:`split_frames`, the one frame parser
+both ends use.  A run of consecutive PREDICT/OBSERVE frames is a
+*burst*: it reaches the gateway in one submit-pool call of
+:meth:`~repro.service.FleetGateway.submit_batch`, which ships one
+envelope per shard for the whole burst.  Any other frame (a control op,
+PING, GOODBYE) ends the burst ahead of it and is answered before the
+next frame is submitted.  On the way out, completions reach the event
+loop with one wakeup per batch, and the write loop sends everything
+queued for the session in one ``write`` with one bounded ``drain``.
+
 Determinism over the wire
 -------------------------
 Live-mode sequence numbers are assigned at **session ingress**: the
-reader coroutine submits each instance op in frame arrival order and the
-gateway claims the instance's next slot under the shard submit lock, so
-"the op stream the client sent" is exactly "the op stream the predictor
-executes".  Replay-mode clients RESERVE a sequence range up front and
-submit with explicit seq values: a per-connection :class:`WireClient`
-factory drives :func:`~repro.service.replay_trace_via_client`, and
-socket replays (``ReplayBackend(mode="socket")``) are bit-identical
-(arrays *and* cache and counter accounting) to direct, service and
-gateway replays for any shard/connection count.
+reader submits each burst in frame arrival order and awaits it before
+it submits more, and the gateway claims each op's instance slot in
+order under the instance's submit lock, so "the op stream the client
+sent" is exactly "the op stream the predictor executes".  Replay-mode
+clients RESERVE a sequence range up front and submit with explicit seq
+values: a per-connection :class:`WireClient` factory drives
+:func:`~repro.service.replay_trace_via_client`, and socket replays
+(``ReplayBackend(mode="socket")``) are bit-identical (arrays *and* cache
+and counter accounting) to direct, service and gateway replays for any
+shard/connection count.
 
 Admission control
 -----------------
 A saturated shard queue surfaces as a protocol-level RETRY_AFTER frame
 carrying the machine-readable back-off hint from
-:class:`~repro.service.GatewayBackpressureError` — the session stays
-open and the client retries; over-capacity never drops a connection.
+:class:`~repro.service.GatewayBackpressureError` — the shed op's
+sequence slot is rolled back, the rest of its burst still goes through,
+the session stays open and the client retries; over-capacity never
+drops a connection.
 """
 
 from __future__ import annotations
@@ -72,11 +89,12 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from functools import partial
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import WireConfig
 
 from .gateway import FleetGateway, GatewayBackpressureError, ShardCrashedError
+from .scheduler import OBSERVE, PREDICT
 
 __all__ = [
     "MAGIC",
@@ -86,6 +104,7 @@ __all__ = [
     "WireError",
     "WireServer",
     "encode_frame",
+    "split_frames",
 ]
 
 MAGIC = b"STGW"
@@ -135,25 +154,43 @@ def _same(value):
     return value
 
 
-#: op code -> (session counter, gateway method, per-argument coercions).
-#: Every gateway call takes the one path in :meth:`WireServer._apply`:
-#: decode the payload tuple, check its arity, call the method on the
-#: submit pool, respond.
+#: op code -> (session counter, op kind).  An instance op's payload is
+#: ``(instance_id, record, seq)``; consecutive instance frames form a
+#: burst that :meth:`WireServer._submit_burst` hands to
+#: :meth:`FleetGateway.submit_batch` in one submit-pool call.
+_INSTANCE_OPS = {
+    OP_PREDICT: ("predicts", PREDICT),
+    OP_OBSERVE: ("observes", OBSERVE),
+}
+
+#: control op code -> (gateway method, per-argument coercions).  Every
+#: control op takes the one path in :meth:`WireServer._apply`: decode
+#: the payload tuple, check its arity, call the method on the submit
+#: pool, respond; the session counts it under ``controls``.
 _GATEWAY_OPS = {
-    OP_PREDICT: ("predicts", "predict_async", (_same, _same, _same)),
-    OP_OBSERVE: ("observes", "observe_async", (_same, _same, _same)),
-    OP_REGISTER: ("controls", "register_instance", (_same,)),
-    OP_RESERVE: ("controls", "reserve_sequence", (_same, int)),
-    OP_STATS: ("controls", "stats", ()),
-    OP_MIGRATE: ("controls", "migrate_instance", (_same, int)),
-    OP_RESIZE: ("controls", "resize", (int,)),
-    OP_ROUTES: ("controls", "routes", ()),
+    OP_REGISTER: ("register_instance", (_same,)),
+    OP_RESERVE: ("reserve_sequence", (_same, int)),
+    OP_STATS: ("stats", ()),
+    OP_MIGRATE: ("migrate_instance", (_same, int)),
+    OP_RESIZE: ("resize", (int,)),
+    OP_ROUTES: ("routes", ()),
 }
 
 #: threads that make the gateway calls, so a call that blocks (on
 #: backpressure, an instance's submit lock or a migration's drain)
-#: never stalls the event loop
+#: never stalls the event loop.  A session has at most one call out at
+#: a time (a burst or a control op), so this many sessions can block at
+#: once before the rest queue for a worker.
 _SUBMIT_WORKERS = 8
+
+#: bytes asked of the socket per read.  Every complete frame a read
+#: delivers is answered before the next read, so this also bounds a
+#: burst (and the records it holds decoded at once): at serve_hot's
+#: ~1.5 KB frames, about ten.  Larger reads cut the server's warmup
+#: CPU little further but raise its peak RSS (see ROADMAP, "Network
+#: front door").  The server's stream reader stops reading the socket
+#: once it holds more than two reads' worth.
+_READ_CHUNK = 16 * 1024
 
 
 class WireError(RuntimeError):
@@ -250,21 +287,63 @@ def _exception_for_frame(op: int, payload: bytes) -> BaseException:
     return WireError(code, message)
 
 
-async def _read_frame(reader: asyncio.StreamReader, max_frame_bytes: int):
-    """Read one frame; raises :class:`_ProtocolError` on framing faults
-    and :class:`asyncio.IncompleteReadError` on mid-frame EOF."""
-    (length,) = _LEN.unpack(await reader.readexactly(_LEN.size))
-    if length < _HEAD.size:
-        raise _ProtocolError(
-            E_MALFORMED, f"frame body of {length} bytes is shorter than the {_HEAD.size}B header"
-        )
-    if length > max_frame_bytes:
-        raise _ProtocolError(
-            E_TOO_LARGE, f"frame body of {length} bytes exceeds max_frame_bytes={max_frame_bytes}"
-        )
-    body = await reader.readexactly(length)
-    op, request_id = _HEAD.unpack_from(body)
-    return op, request_id, body[_HEAD.size :]
+def split_frames(data, max_frame_bytes: int) -> Tuple[List[Tuple[int, int, bytes]], int]:
+    """Split every complete frame off the front of ``data``.
+
+    Returns ``(frames, used)``: each complete frame's ``(op,
+    request_id, payload)`` in order, and how many leading bytes of
+    ``data`` they span; a partial frame at the end is left for the
+    next read.  A length prefix is checked as soon as its four bytes
+    are present, so an oversized or undersized one raises
+    :class:`_ProtocolError` before its body is buffered — once the
+    complete frames ahead of it have been returned.  Pure: both ends of
+    the protocol parse with it.
+    """
+    frames = []
+    pos, end = 0, len(data)
+    while end - pos >= _LEN.size:
+        (length,) = _LEN.unpack_from(data, pos)
+        if not _HEAD.size <= length <= max_frame_bytes:
+            if frames:
+                break  # the next call refuses it
+            if length < _HEAD.size:
+                raise _ProtocolError(
+                    E_MALFORMED,
+                    f"frame body of {length} bytes is shorter than the {_HEAD.size}B header",
+                )
+            raise _ProtocolError(
+                E_TOO_LARGE,
+                f"frame body of {length} bytes exceeds max_frame_bytes={max_frame_bytes}",
+            )
+        stop = pos + _LEN.size + length
+        if stop > end:
+            break
+        op, request_id = _HEAD.unpack_from(data, pos + _LEN.size)
+        frames.append((op, request_id, bytes(data[pos + _LEN.size + _HEAD.size : stop])))
+        pos = stop
+    return frames, pos
+
+
+async def _read_frames(reader: asyncio.StreamReader, buf: bytearray, max_frame_bytes: int):
+    """Read until ``buf`` holds a complete frame, then split off every
+    complete frame it holds; raises :class:`_ProtocolError` on framing
+    faults and :class:`asyncio.IncompleteReadError` on EOF."""
+    while True:
+        frames, used = split_frames(buf, max_frame_bytes)
+        if frames:
+            del buf[:used]
+            return frames
+        chunk = await reader.read(_READ_CHUNK)
+        if not chunk:
+            raise asyncio.IncompleteReadError(bytes(buf), None)
+        buf += chunk
+
+
+def _decode_args(op: int, payload: bytes, arity: int) -> tuple:
+    args = pickle.loads(payload) if payload else ()
+    if not isinstance(args, tuple) or len(args) != arity:
+        raise ValueError(f"op {op:#04x} takes a {arity}-tuple")
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +401,11 @@ class WireServer:
         self._started = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self._closed = False
+        #: gateway completions awaiting delivery on the loop, as
+        #: ``(session, out_q, frame)``; filled by the gateway's listener
+        #: threads, emptied by :meth:`_deliver_completions`
+        self._completions: List[tuple] = []
+        self._completions_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -369,7 +453,10 @@ class WireServer:
         self._stop = asyncio.Event()
         try:
             server = await asyncio.start_server(
-                self._handle_connection, self.config.host, self.config.port
+                self._handle_connection,
+                self.config.host,
+                self.config.port,
+                limit=_READ_CHUNK,
             )
         except OSError as exc:
             self._startup_error = exc
@@ -411,13 +498,21 @@ class WireServer:
                 await writer.wait_closed()
 
     async def _write_loop(self, out_q: asyncio.Queue, writer) -> None:
+        """Send queued response frames: everything queued at once goes
+        out in one ``write`` with one bounded ``drain``; a ``None``
+        sentinel stops the loop once the frames ahead of it are sent."""
         write_timeout = self.config.write_timeout_s
         while True:
-            frame = await out_q.get()
-            if frame is None:
+            frames = [await out_q.get()]
+            while not out_q.empty():
+                frames.append(out_q.get_nowait())
+            done = None in frames
+            if done:
+                frames = frames[: frames.index(None)]
+            if not frames:
                 return
             try:
-                writer.write(frame)
+                writer.write(b"".join(frames))
                 await asyncio.wait_for(writer.drain(), timeout=write_timeout)
             except asyncio.TimeoutError:
                 # Slow-reader reaping: the client stopped draining its
@@ -445,23 +540,25 @@ class WireServer:
                 return
             except (ConnectionError, OSError):
                 return  # the read side observes the disconnect too
+            if done:
+                return
 
     async def _read_loop(self, session, out_q, reader) -> bool:
         """Process one session's inbound frames; True means clean close."""
         idle = self.config.idle_timeout_s
         max_bytes = self.config.max_frame_bytes
         refuse = partial(self._refuse, session, out_q)
+        buf = bytearray()
 
         # --- handshake: the first frame must be a well-formed HELLO ---
         try:
-            op, request_id, payload = await asyncio.wait_for(
-                _read_frame(reader, max_bytes), timeout=idle
-            )
+            frames = await asyncio.wait_for(_read_frames(reader, buf, max_bytes), timeout=idle)
         except _ProtocolError as exc:
             refuse(SESSION_RID, exc.code, str(exc))
             return False
         except (asyncio.TimeoutError, asyncio.IncompleteReadError, ConnectionError, OSError):
             return False
+        op, request_id, payload = frames[0]
         if op != OP_HELLO or len(payload) < _HELLO_PREFIX.size:
             refuse(request_id, E_BAD_HELLO, "first frame must be a HELLO with magic and version")
             return False
@@ -481,15 +578,17 @@ class WireServer:
             {"session_id": session.session_id, "protocol_version": PROTOCOL_VERSION}
         ).encode("utf-8")
         out_q.put_nowait(encode_frame(OP_RESULT, request_id, hello_ack))
+        frames = frames[1:]  # frames the client pipelined behind its HELLO
 
-        # --- steady state ---
+        # --- steady state: answer each read's frames, then read again ---
         while True:
+            if frames and not await self._serve_frames(session, out_q, frames):
+                return True  # GOODBYE
             try:
-                op, request_id, payload = await asyncio.wait_for(
-                    _read_frame(reader, max_bytes), timeout=idle
-                )
+                frames = await asyncio.wait_for(_read_frames(reader, buf, max_bytes), timeout=idle)
             except asyncio.TimeoutError:
                 if session.in_flight > 0:
+                    frames = []
                     continue  # quiet client, busy gateway: not idle
                 refuse(
                     SESSION_RID,
@@ -503,27 +602,85 @@ class WireServer:
                 return False
             except (asyncio.IncompleteReadError, ConnectionError, OSError):
                 return False  # dirty disconnect
+
+    async def _serve_frames(self, session, out_q, frames) -> bool:
+        """Answer one read's frames in order; False after a GOODBYE.
+
+        Consecutive PREDICT/OBSERVE frames form a burst that reaches
+        the gateway in one submit-pool call.  Any other frame ends the
+        burst ahead of it and is answered before the next frame is
+        submitted.
+        """
+        burst = []
+        for op, request_id, payload in frames:
+            if op in _INSTANCE_OPS:
+                counter, kind = _INSTANCE_OPS[op]
+                try:
+                    instance_id, record, seq = _decode_args(op, payload, 3)
+                except Exception as exc:
+                    self._refuse(
+                        session, out_q, request_id, E_MALFORMED, f"undecodable payload: {exc}"
+                    )
+                    continue
+                session.counters[counter] += 1
+                burst.append((request_id, (kind, instance_id, record, seq)))
+                continue
+            if burst:
+                await self._submit_burst(session, out_q, burst)
+                burst = []
             if op == OP_GOODBYE:
                 out_q.put_nowait(encode_frame(OP_RESULT, request_id, b""))
-                return True
+                return False
             await self._apply(session, out_q, op, request_id, payload)
+        if burst:
+            await self._submit_burst(session, out_q, burst)
+        return True
 
     @staticmethod
     def _refuse(session, out_q, request_id: int, code: str, message: str) -> None:
         session.counters["errors"] += 1
         out_q.put_nowait(encode_frame(OP_ERROR, request_id, _error_payload(code, message)))
 
-    async def _apply(self, session, out_q, op: int, request_id: int, payload: bytes) -> None:
-        """Apply one post-handshake frame.
+    @staticmethod
+    def _answer_exception(session, out_q, request_id: int, exc: BaseException) -> None:
+        # admission control is not a failure: the session stays open and
+        # the client backs off retry_after_s
+        backpressure = isinstance(exc, GatewayBackpressureError)
+        session.counters["retry_after" if backpressure else "errors"] += 1
+        out_q.put_nowait(_frame_for_exception(request_id, exc))
 
-        Every gateway op takes one path (see ``_GATEWAY_OPS``).  The
-        await serialises one session's calls, so frame arrival order IS
-        sequence order for live ops, while the submit pool keeps a
-        blocked call off the event loop so every other session keeps
-        serving.  Instance ops resolve asynchronously (their RESULT
-        frame is queued by a done-callback bridged from the gateway's
-        listener thread); every other op is answered before the next
-        frame is read.
+    async def _submit_burst(self, session, out_q, burst) -> None:
+        """Submit one burst of instance ops through one
+        :meth:`FleetGateway.submit_batch` call on the submit pool.
+
+        The await serialises one session's calls, so the order frames
+        arrive in IS sequence order for live ops.  Each op resolves
+        asynchronously: its RESULT frame is queued by a done-callback
+        bridged from the gateway's listener thread.
+        """
+        loop = asyncio.get_running_loop()
+        try:
+            outcomes = await loop.run_in_executor(
+                self._submit_pool, self.gateway.submit_batch, [op for _, op in burst]
+            )
+        except Exception as exc:
+            # submit_batch returns refusals op by op, so this is the
+            # call itself failing (the pool shut down): answer them all
+            outcomes = [exc] * len(burst)
+        for (request_id, _), outcome in zip(burst, outcomes):
+            if isinstance(outcome, BaseException):
+                self._answer_exception(session, out_q, request_id, outcome)
+                continue
+            session.in_flight += 1
+            outcome.add_done_callback(partial(self._relay, session, out_q, request_id))
+
+    async def _apply(self, session, out_q, op: int, request_id: int, payload: bytes) -> None:
+        """Apply one post-handshake frame that is not an instance op.
+
+        Every gateway op takes one path (see ``_GATEWAY_OPS``): the
+        submit pool keeps a blocked call off the event loop, so every
+        other session keeps serving, and the await answers it before
+        the session's next frame is submitted.
         """
         if op == OP_PING:
             session.counters["pings"] += 1
@@ -534,52 +691,49 @@ class WireServer:
             # structured error and keep the session
             self._refuse(session, out_q, request_id, E_UNKNOWN_OP, f"unknown op code {op:#04x}")
             return
-        counter, method, coercions = _GATEWAY_OPS[op]
+        method, coercions = _GATEWAY_OPS[op]
         try:
-            args = pickle.loads(payload) if payload else ()
-            if not isinstance(args, tuple) or len(args) != len(coercions):
-                raise ValueError(f"op {op:#04x} takes a {len(coercions)}-tuple")
+            args = _decode_args(op, payload, len(coercions))
         except Exception as exc:
             self._refuse(session, out_q, request_id, E_MALFORMED, f"undecodable payload: {exc}")
             return
-        session.counters[counter] += 1
+        session.counters["controls"] += 1
         loop = asyncio.get_running_loop()
         try:
             call = partial(getattr(self.gateway, method), *(c(a) for c, a in zip(coercions, args)))
             result = await loop.run_in_executor(self._submit_pool, call)
         except Exception as exc:
-            # admission control is not a failure: the session stays
-            # open and the client backs off retry_after_s
-            backpressure = isinstance(exc, GatewayBackpressureError)
-            session.counters["retry_after" if backpressure else "errors"] += 1
-            out_q.put_nowait(_frame_for_exception(request_id, exc))
-            return
-        if isinstance(result, Future):
-            session.in_flight += 1
-            result.add_done_callback(partial(self._relay, loop, session, out_q, request_id))
+            self._answer_exception(session, out_q, request_id, exc)
             return
         if op == OP_STATS:
             result = {"gateway": result, "wire": self._wire_stats()}
         out_q.put_nowait(encode_frame(OP_RESULT, request_id, _pickle(result)))
 
-    def _relay(self, loop, session, out_q, request_id: int, future: Future) -> None:
+    def _relay(self, session, out_q, request_id: int, future: Future) -> None:
         """Done-callback for gateway futures.  Runs on the gateway's
-        listener thread: build the frame here, hop to the loop to
-        deliver it (out_q and in_flight are loop-thread state)."""
+        listener thread: build the frame here and post it for the loop
+        (out_q and in_flight are loop-thread state), waking the loop
+        once for however many completions post before it runs."""
         exc = future.exception()
         if exc is not None:
             frame = _frame_for_exception(request_id, exc)
         else:
             frame = encode_frame(OP_RESULT, request_id, _pickle(future.result()))
+        with self._completions_lock:
+            self._completions.append((session, out_q, frame))
+            if len(self._completions) > 1:
+                return  # a delivery is already scheduled
+        with contextlib.suppress(RuntimeError):  # loop already closed
+            self._loop.call_soon_threadsafe(self._deliver_completions)
 
-        def deliver() -> None:
+    def _deliver_completions(self) -> None:
+        with self._completions_lock:
+            completions, self._completions = self._completions, []
+        for session, out_q, frame in completions:
             session.in_flight -= 1
             if frame[_LEN.size] != OP_RESULT:
                 session.counters["errors"] += 1
             out_q.put_nowait(frame)
-
-        with contextlib.suppress(RuntimeError):  # loop already closed
-            loop.call_soon_threadsafe(deliver)
 
     def _wire_stats(self) -> dict:
         """Per-session op accounting (loop thread only)."""
@@ -615,6 +769,8 @@ class AsyncWireClient:
         self._writer = writer
         self.name = name
         self._max_frame_bytes = max_frame_bytes
+        #: bytes read off the socket that do not yet form a whole frame
+        self._rbuf = bytearray()
         self._request_ids = itertools.count(1)
         self._pending: Dict[int, asyncio.Future] = {}
         self._reader_task: Optional[asyncio.Task] = None
@@ -647,9 +803,11 @@ class AsyncWireClient:
         payload = _HELLO_PREFIX.pack(MAGIC, PROTOCOL_VERSION) + self.name.encode("utf-8")
         self._writer.write(encode_frame(OP_HELLO, request_id, payload))
         await self._writer.drain()
-        op, _, payload = await asyncio.wait_for(
-            _read_frame(self._reader, self._max_frame_bytes), timeout
+        frames = await asyncio.wait_for(
+            _read_frames(self._reader, self._rbuf, self._max_frame_bytes), timeout
         )
+        # the server answers nothing else before the HELLO ack
+        op, _, payload = frames[0]
         if op != OP_RESULT:
             raise _exception_for_frame(op, payload)
         self.session_info = json.loads(payload)
@@ -659,19 +817,20 @@ class AsyncWireClient:
         error: BaseException = ConnectionError("wire connection closed")
         try:
             while True:
-                op, request_id, payload = await _read_frame(self._reader, self._max_frame_bytes)
-                if request_id == SESSION_RID:
-                    # server-initiated session teardown (idle timeout,
-                    # protocol fault): everything outstanding fails
-                    error = _exception_for_frame(op, payload)
-                    return
-                future = self._pending.pop(request_id, None)
-                if future is None or future.done():
-                    continue
-                if op == OP_RESULT:
-                    future.set_result(pickle.loads(payload) if payload else None)
-                else:
-                    future.set_exception(_exception_for_frame(op, payload))
+                frames = await _read_frames(self._reader, self._rbuf, self._max_frame_bytes)
+                for op, request_id, payload in frames:
+                    if request_id == SESSION_RID:
+                        # server-initiated session teardown (idle timeout,
+                        # protocol fault): everything outstanding fails
+                        error = _exception_for_frame(op, payload)
+                        return
+                    future = self._pending.pop(request_id, None)
+                    if future is None or future.done():
+                        continue
+                    if op == OP_RESULT:
+                        future.set_result(pickle.loads(payload) if payload else None)
+                    else:
+                        future.set_exception(_exception_for_frame(op, payload))
         except asyncio.CancelledError:
             error = ConnectionError("wire client closed")
         except (asyncio.IncompleteReadError, ConnectionError, OSError) as exc:

@@ -38,6 +38,7 @@ from repro.core.config import (
 from repro.global_model import GlobalModelTrainer
 from repro.parallelism import pool_map
 from repro.service import FleetGateway, ModelRegistry, PredictionService, shard_for
+from repro.service.scheduler import OBSERVE, PREDICT
 from repro.workload import FleetGenerator
 
 
@@ -220,6 +221,37 @@ class TestGatewayService:
             s["scheduler"]["n_predicts"] for s in per_instance
         )
         assert stats["fleet"]["byte_size"] == sum(s["stage"]["byte_size"] for s in per_instance)
+
+
+    def test_batch_for_one_shard_ships_one_request_envelope(self, traces):
+        """A submit batch holds its ops and flushes once: N ops for
+        instances on one shard cost that shard exactly one envelope,
+        and the shard rows count it."""
+        with FleetGateway(GatewayConfig(n_shards=2), stage_config=fast_profile()) as gateway:
+            for trace in traces:
+                gateway.register_instance(trace.instance)
+            shard = shard_for(traces[0].instance.instance_id, 2)
+            on_shard = [t for t in traces if shard_for(t.instance.instance_id, 2) == shard]
+            ops = [
+                (kind, trace.instance.instance_id, trace[i], None)
+                for i in range(4)
+                for trace in on_shard
+                for kind in (PREDICT, OBSERVE)
+            ]
+            before = gateway.stats()["shards"]
+            outcomes = gateway.submit_batch(ops)
+            for future in outcomes:
+                future.result(timeout=60)
+            stats = gateway.stats()
+        after = stats["shards"]
+        # each stats() call ships one STATS op to every shard
+        assert after[shard]["request_envelopes"] - before[shard]["request_envelopes"] == 1 + 1
+        assert after[shard]["request_ops"] - before[shard]["request_ops"] == len(ops) + 1
+        assert after[1 - shard]["request_envelopes"] - before[1 - shard]["request_envelopes"] == 1
+        assert after[shard]["response_envelopes"] > before[shard]["response_envelopes"]
+        # the transport counters stay out of what the parity suites compare
+        for per_instance in stats["instances"].values():
+            assert "request_envelopes" not in per_instance["stage"]
 
 
 # ---------------------------------------------------------------------------

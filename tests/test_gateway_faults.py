@@ -14,6 +14,9 @@ while a shard sleeps, its queue holds whatever the test enqueued.  The
 fleet is the shared tier fleet (``traces`` in ``conftest.py``).
 """
 
+import random
+import sys
+import threading
 import time
 
 import pytest
@@ -27,6 +30,7 @@ from repro.service import (
     shard_for,
     shared_client,
 )
+from repro.service.scheduler import PREDICT
 
 
 def two_shard_gateway(traces, **config_kwargs):
@@ -189,6 +193,50 @@ class TestShutdownAndBackpressure:
             follow_up = gateway.predict(instance_id, trace[1], timeout=30)
             assert follow_up.exec_time >= 0.0
             gateway.drain()
+        finally:
+            gateway.close()
+
+    def test_concurrent_batches_ship_before_waiting(self, traces):
+        """Threads submitting interleaved batches over shared instances
+        against a two-credit window.  A batch holds credits for ops it
+        has not shipped, so one that blocked on another batch's
+        instance lock, or on a credit, while still holding them could
+        starve that batch's credit wait into a shed.  Every batch ships
+        what it holds before any wait, so nothing sheds and every op is
+        answered."""
+        gateway, _ = two_shard_gateway(traces, queue_size=2, enqueue_timeout_s=3.0)
+        n_threads, n_batches, batch_size = 6, 6, 6
+        outcomes = []
+
+        def submitter(seed):
+            rng = random.Random(seed)
+            for _ in range(n_batches):
+                batch = []
+                for _ in range(batch_size):
+                    trace = rng.choice(traces)
+                    record = trace[rng.randrange(len(trace))]
+                    batch.append((PREDICT, trace.instance.instance_id, record, None))
+                outcomes.extend(gateway.submit_batch(batch))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submitter, args=(k,)) for k in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(thread.is_alive() for thread in threads)
+            shed = [o for o in outcomes if isinstance(o, BaseException)]
+            assert shed == []
+            for future in outcomes:
+                assert future.result(timeout=60).prediction.exec_time >= 0.0
+            gateway.drain()
+            n_ops = n_threads * n_batches * batch_size
+            assert gateway.stats()["fleet"]["n_predicts"] == n_ops
         finally:
             gateway.close()
 

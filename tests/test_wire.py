@@ -11,9 +11,11 @@ a row of the backend-parity matrix (``tests/test_backend_parity.py``).
 On top of that: session lifecycle (HELLO handshake, idle timeout that
 spares busy sessions, GOODBYE, dirty-disconnect containment), raw-socket
 protocol robustness (bad magic/version, truncated and oversized frames,
-malformed payloads, unknown ops) and RETRY_AFTER admission control — a
-saturated shard queue backs the client off without dropping its
-connection.  Runs under both fork and spawn in CI's ``parallel-parity``
+malformed payloads, unknown ops), per-burst ingress (the frame splitter
+both ends share, bursts ended by control ops, envelopes per burst, a
+burst that never waits on its own held ops) and RETRY_AFTER admission
+control — a saturated shard queue backs the client off without dropping
+its connection.  Runs under both fork and spawn in CI's ``parallel-parity``
 job.
 """
 
@@ -52,6 +54,7 @@ from repro.service.wire import (
     MAGIC,
     PROTOCOL_VERSION,
     encode_frame,
+    split_frames,
 )
 
 
@@ -250,6 +253,93 @@ def _hello(sock, name=b"raw-test"):
     return json.loads(body)
 
 
+def _recv_until_eof(sock):
+    """Every frame the server sends before it closes the connection."""
+    frames = []
+    with contextlib.suppress(ConnectionError):
+        while True:
+            frames.append(_recv_frame(sock))
+    return frames
+
+
+def _instance_frame(op, request_id, instance_id, record):
+    return encode_frame(op, request_id, pickle.dumps((instance_id, record, None)))
+
+
+# ---------------------------------------------------------------------------
+# the frame splitter both ends parse with
+# ---------------------------------------------------------------------------
+_SPLIT_MAX = 4096
+
+
+def _sample_frames():
+    return [
+        (wire_mod.OP_PING, 1, b""),
+        (wire_mod.OP_PREDICT, 2, bytes(range(256)) * 3),
+        (wire_mod.OP_RESULT, 0xFFFFFFFF, b"x"),
+        (wire_mod.OP_STATS, 4, b""),
+        (wire_mod.OP_OBSERVE, 5, b"\x00" * (_SPLIT_MAX - 5)),  # exactly the cap
+    ]
+
+
+def _feed(pieces):
+    """Run ``split_frames`` over a stream arriving in ``pieces``."""
+    buf, out = bytearray(), []
+    for piece in pieces:
+        buf += piece
+        frames, used = split_frames(buf, _SPLIT_MAX)
+        del buf[:used]
+        out.extend(frames)
+    return out, bytes(buf)
+
+
+class TestFrameSplitter:
+    def test_every_cut_point_yields_the_same_frames(self):
+        want = _sample_frames()
+        stream = b"".join(encode_frame(*frame) for frame in want)
+        for cut in range(len(stream) + 1):
+            got, rest = _feed([stream[:cut], stream[cut:]])
+            assert got == want, f"cut at byte {cut}"
+            assert rest == b""
+
+    def test_byte_at_a_time_yields_the_same_frames(self):
+        want = _sample_frames()
+        stream = b"".join(encode_frame(*frame) for frame in want)
+        got, rest = _feed([stream[i : i + 1] for i in range(len(stream))])
+        assert got == want and rest == b""
+
+    def test_partial_frame_is_left_for_the_next_read(self):
+        whole = encode_frame(wire_mod.OP_PING, 1)
+        partial_frame = encode_frame(wire_mod.OP_PING, 2, b"abc")[:-1]
+        frames, used = split_frames(whole + partial_frame, _SPLIT_MAX)
+        assert frames == [(wire_mod.OP_PING, 1, b"")]
+        assert used == len(whole)
+
+    @pytest.mark.parametrize(
+        "length,code",
+        [
+            (_SPLIT_MAX + 1, wire_mod.E_TOO_LARGE),
+            (1 << 30, wire_mod.E_TOO_LARGE),
+            (4, wire_mod.E_MALFORMED),
+        ],
+        ids=["one-past-cap", "huge", "shorter-than-header"],
+    )
+    def test_bad_length_prefix_refused_before_its_body(self, length, code):
+        # the bare prefix is enough: no body byte has to be buffered
+        with pytest.raises(wire_mod._ProtocolError) as err:
+            split_frames(struct.pack("!I", length), _SPLIT_MAX)
+        assert err.value.code == code
+
+    def test_frames_ahead_of_a_bad_prefix_come_out_first(self):
+        good = encode_frame(wire_mod.OP_PING, 1)
+        stream = good + struct.pack("!I", _SPLIT_MAX + 1)
+        frames, used = split_frames(stream, _SPLIT_MAX)
+        assert frames == [(wire_mod.OP_PING, 1, b"")] and used == len(good)
+        with pytest.raises(wire_mod._ProtocolError) as err:
+            split_frames(stream[used:], _SPLIT_MAX)
+        assert err.value.code == wire_mod.E_TOO_LARGE
+
+
 class TestProtocolRobustness:
     def test_bad_magic_refused_with_structured_error(self, traces):
         with served(traces[:1]) as (_, (host, port)):
@@ -352,12 +442,114 @@ class TestProtocolRobustness:
                 op, request_id, _ = _recv_frame(sock)
                 assert op == wire_mod.OP_RESULT and request_id == 10
 
+    def test_frames_ahead_of_an_oversized_prefix_are_answered(self, traces):
+        wire_config = WireConfig(max_frame_bytes=1024)
+        with served(traces[:1], wire_config=wire_config) as (_, (host, port)):
+            with socket.create_connection((host, port), timeout=10) as sock:
+                _hello(sock)
+                sock.sendall(encode_frame(wire_mod.OP_PING, 2) + struct.pack("!I", 1 << 20))
+                frames = _recv_until_eof(sock)
+                assert [(op, rid) for op, rid, _ in frames] == [
+                    (wire_mod.OP_RESULT, 2),
+                    (wire_mod.OP_ERROR, wire_mod.SESSION_RID),
+                ]
+                assert json.loads(frames[1][2])["code"] == wire_mod.E_TOO_LARGE
+
     def test_unknown_instance_surfaces_as_keyerror(self, traces):
         with served(traces[:1]) as (_, (host, port)):
             with WireClient(host, port) as client:
                 with pytest.raises(KeyError, match="not registered"):
                     client.predict("no-such-instance", traces[0][0])
                 assert client.ping() >= 0.0  # per-request, session lives
+
+
+# ---------------------------------------------------------------------------
+# per-burst ingress
+# ---------------------------------------------------------------------------
+class TestBurstIngress:
+    def test_mixed_write_is_answered_in_order(self, traces):
+        """One write holding PREDICT, STATS, OBSERVE, PING and GOODBYE:
+        the control ops end the burst ahead of them and are answered
+        before the next frame is submitted, and GOODBYE still flushes
+        every earlier response before the session closes."""
+        trace = traces[0]
+        instance_id = trace.instance.instance_id
+        with served(traces[:1]) as (_, (host, port)):
+            with socket.create_connection((host, port), timeout=30) as sock:
+                session_id = _hello(sock)["session_id"]
+                sock.sendall(
+                    b"".join(
+                        [
+                            _instance_frame(wire_mod.OP_PREDICT, 2, instance_id, trace[0]),
+                            encode_frame(wire_mod.OP_STATS, 3),
+                            _instance_frame(wire_mod.OP_OBSERVE, 4, instance_id, trace[0]),
+                            encode_frame(wire_mod.OP_PING, 5),
+                            encode_frame(wire_mod.OP_GOODBYE, 6),
+                        ]
+                    )
+                )
+                frames = _recv_until_eof(sock)
+        assert sorted(rid for _, rid, _ in frames) == [2, 3, 4, 5, 6]
+        assert all(op == wire_mod.OP_RESULT for op, _, _ in frames)
+        answered = {rid: body for _, rid, body in frames}
+        order = [rid for _, rid, _ in frames]
+        # control ops answer in frame order; instance ops whenever
+        # their shard does
+        assert order.index(3) < order.index(5) < order.index(6)
+        assert answered[2] and pickle.loads(answered[2]).prediction.exec_time >= 0.0
+        # STATS ran after the PREDICT was submitted and before the
+        # OBSERVE was, so the session's counters show exactly that
+        mine = pickle.loads(answered[3])["wire"]["sessions"][session_id]
+        assert (mine["predicts"], mine["observes"], mine["controls"], mine["pings"]) == (1, 0, 1, 0)
+        assert mine["errors"] == 0
+
+    def test_one_write_of_predicts_ships_few_envelopes(self, traces):
+        trace = traces[0]
+        instance_id = trace.instance.instance_id
+        n_ops = 40
+        with served(traces[:1]) as (gateway, (host, port)):
+            shard = shard_for(instance_id, 2)
+            before = gateway.stats()["shards"][shard]
+            with socket.create_connection((host, port), timeout=30) as sock:
+                _hello(sock)
+                sock.sendall(
+                    b"".join(
+                        _instance_frame(wire_mod.OP_PREDICT, 2 + i, instance_id, record)
+                        for i, record in enumerate(trace[:n_ops])
+                    )
+                )
+                answers = [_recv_frame(sock) for _ in range(n_ops)]
+            assert all(op == wire_mod.OP_RESULT for op, _, _ in answers)
+            after = gateway.stats()["shards"][shard]
+        # the second stats() call ships one STATS op of its own
+        assert after["request_ops"] - before["request_ops"] == n_ops + 1
+        assert after["request_envelopes"] - before["request_envelopes"] - 1 <= 10
+        assert after["response_envelopes"] > before["response_envelopes"]
+
+    def test_burst_never_waits_on_its_own_held_ops(self, traces):
+        """Six pipelined predicts against two credits: the burst must
+        ship what it holds before it waits for a credit, or it would
+        wait out enqueue_timeout_s on credits only its own unshipped
+        ops can return, and shed."""
+        gateway_config = GatewayConfig(n_shards=2, queue_size=2, enqueue_timeout_s=2.0)
+        trace = traces[0]
+        instance_id = trace.instance.instance_id
+        n_ops = 6
+        with served(traces[:1], gateway_config=gateway_config) as (gateway, (host, port)):
+            with socket.create_connection((host, port), timeout=30) as sock:
+                _hello(sock)
+                t0 = time.monotonic()
+                sock.sendall(
+                    b"".join(
+                        _instance_frame(wire_mod.OP_PREDICT, 2 + i, instance_id, trace[i])
+                        for i in range(n_ops)
+                    )
+                )
+                answers = [_recv_frame(sock) for _ in range(n_ops)]
+                elapsed = time.monotonic() - t0
+        assert [op for op, _, _ in answers] == [wire_mod.OP_RESULT] * n_ops
+        assert sorted(rid for _, rid, _ in answers) == list(range(2, 2 + n_ops))
+        assert elapsed < gateway_config.enqueue_timeout_s / 2
 
 
 # ---------------------------------------------------------------------------
