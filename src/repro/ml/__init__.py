@@ -5,7 +5,7 @@ CatBoost / PyTorch in the paper's stack.
 """
 
 from .losses import AbsoluteError, GaussianNLL, Objective, SquaredError, get_objective
-from .tree import Binner, RegressionTree
+from .tree import Binner
 from .gbm import GradientBoostingModel
 from .ensemble import BayesianGBMEnsemble, EnsemblePrediction
 from .nn import MLP, Adam, Linear, ReLU, huber_loss, mse_loss
@@ -19,7 +19,6 @@ __all__ = [
     "GaussianNLL",
     "get_objective",
     "Binner",
-    "RegressionTree",
     "GradientBoostingModel",
     "BayesianGBMEnsemble",
     "EnsemblePrediction",

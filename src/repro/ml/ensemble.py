@@ -11,6 +11,10 @@ the Stage local model, Section 4.3:
 - *data* uncertainty is ``mean_k(sigma2_k)``;
 - total prediction uncertainty is their sum                   (paper Eq. 2).
 
+The members are fit in one joint boosting run (:func:`~repro.ml.gbm.fit_models`):
+each round grows every live member's two Gaussian-NLL trees together, level
+by level, and each member ends up bit-identical to a fit of it alone.
+
 Each member is a packed forest (:mod:`repro.ml.gbm`): one walk sorts every
 (row, tree) pair into its leaf and a ``cumsum`` along the tree axis adds
 the leaf values in tree order, so a member's ``(mu_k, sigma2_k)`` for a row
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gbm import GradientBoostingModel
+from .gbm import GradientBoostingModel, fit_models
 from .intervals import member_quantile_bounds
 
 __all__ = ["EnsemblePrediction", "BayesianGBMEnsemble"]
@@ -87,19 +91,19 @@ class BayesianGBMEnsemble:
         self.members_ = None
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        self.members_ = []
-        for k in range(self.n_members):
-            model = GradientBoostingModel(
-                objective="gaussian_nll",
-                random_state=None
-                if self.random_state is None
-                else self.random_state + k,
-                **self.gbm_kwargs,
-            )
-            model.fit(X, y)
-            self.members_.append(model)
+        """Fit the ``K`` members in one joint boosting run (:func:`~repro.ml.gbm.fit_models`)."""
+        self.members_ = fit_models(
+            [
+                GradientBoostingModel(
+                    objective="gaussian_nll",
+                    random_state=None if self.random_state is None else self.random_state + k,
+                    **self.gbm_kwargs,
+                )
+                for k in range(self.n_members)
+            ],
+            X,
+            y,
+        )
         return self
 
     def predict(self, X):
@@ -137,7 +141,7 @@ class BayesianGBMEnsemble:
         for k in range(self.n_members):
             model_unc += (mean - mus[k]) ** 2
         model_unc /= self.n_members
-        # member-spread quantile bounds: np.quantile sorts per column, so
+        # member-spread quantile bounds: np.quantile partitions per column, so
         # the bounds share both invariants — permutation-stable across
         # member order and batch-size-invariant per row
         interval_low, interval_high = member_quantile_bounds(mus, sigma2s, mean=mean)

@@ -14,13 +14,15 @@ Numpy re-implementation of the paper's global model architecture
    concurrency, plan summary) and fed to an MLP head.
 
 Graphs in a minibatch are block-stacked: node features are concatenated,
-edges are index-shifted, and aggregation uses ``np.add.at`` scatter ops, so
-one forward/backward pass handles the whole batch.
+edges are index-shifted, and aggregation is a scatter-add
+(:func:`_scatter_add`), so one forward/backward pass handles the whole
+batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List
 
 import numpy as np
@@ -78,6 +80,31 @@ class PlanGraph:
             raise ValueError("root index out of range")
 
 
+def _occurrence_groups(index):
+    """The positions of ``index`` grouped by occurrence: group ``r`` holds,
+    in index order, every position that is the ``r``-th occurrence of its
+    value, so no value repeats within a group."""
+    order = np.argsort(index, kind="stable")
+    ordered = index[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    run = np.diff(np.append(starts, index.size))
+    rank = np.empty(index.size, dtype=np.intp)
+    rank[order] = np.arange(index.size) - np.repeat(starts, run)
+    return [np.flatnonzero(rank == r) for r in range(int(run.max(initial=0)))]
+
+
+def _scatter_add(out, index, values, groups):
+    """``np.add.at(out, index, values)`` with one fancy-index add per group.
+
+    ``groups`` is :func:`_occurrence_groups` of ``index``: a group's
+    targets are distinct, and groups run in occurrence order, so every
+    target adds the same values in the same order as ``np.add.at``'s
+    sequential pass.
+    """
+    for pos in groups:
+        out[index[pos]] += values[pos]
+
+
 class GraphBatch:
     """Block-stacked minibatch of :class:`PlanGraph` objects.
 
@@ -120,6 +147,14 @@ class GraphBatch:
     def __len__(self):
         return self.roots.shape[0]
 
+    @cached_property
+    def dst_groups(self):
+        return _occurrence_groups(self.dst)
+
+    @cached_property
+    def src_groups(self):
+        return _occurrence_groups(self.src)
+
 
 class _GraphConvLayer(Module):
     """One directed message-passing layer.
@@ -141,7 +176,8 @@ class _GraphConvLayer(Module):
     def forward(self, H, batch: GraphBatch, training=False):
         M = np.zeros_like(H)
         if batch.src.size:
-            np.add.at(M, batch.dst, H[batch.src] * batch.edge_weight[:, None])
+            messages = H[batch.src] * batch.edge_weight[:, None]
+            _scatter_add(M, batch.dst, messages, batch.dst_groups)
         out = self.self_lin.forward(H) + self.msg_lin.forward(M)
         out = self.act.forward(out)
         out = self.dropout.forward(out, training)
@@ -159,7 +195,8 @@ class _GraphConvLayer(Module):
         dM = self.msg_lin.backward(dpre)
         dH = dH + d_from_self
         if batch.src.size:
-            np.add.at(dH, batch.src, dM[batch.dst] * batch.edge_weight[:, None])
+            messages = dM[batch.dst] * batch.edge_weight[:, None]
+            _scatter_add(dH, batch.src, messages, batch.src_groups)
         return dH
 
     def parameters(self):
@@ -256,7 +293,7 @@ class DirectedGCN(Module):
         dz = self.head.backward(dpred[:, None])
         droots = dz[:, : self.hidden_dim]
         dH = np.zeros(h_shape)
-        np.add.at(dH, batch.roots, droots)
+        dH[batch.roots] += droots  # one root per graph: no target repeats
         for conv in reversed(self.convs):
             dH = conv.backward(dH)
         self.embed.backward(dH)
@@ -350,7 +387,7 @@ class DirectedGCN(Module):
 
         - block-stacks only graphs with >= 2 nodes through the embedding
           and conv layers (their node-feature matmuls then have the same
-          gemm shape class as a solo forward; ``np.add.at`` aggregation
+          gemm shape class as a solo forward; scatter-add aggregation
           is sequential per destination node and graphs never share
           edges, so scatter order within a graph matches solo order);
         - evaluates the prediction head per graph on a ``(1, k)`` row

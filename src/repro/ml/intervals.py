@@ -12,9 +12,10 @@ and the fixed-bin width histogram the serving stats roll up.
 Every function here is engineered for the repo's bit-parity contracts:
 
 - :func:`member_quantile_bounds` reduces over the member axis with
-  ``np.quantile`` (a per-column sort + elementwise interpolation), so
-  the bounds are *permutation-stable* across member order and a row
-  predicted in any batch is bit-identical to predicting it alone;
+  ``np.quantile``'s linear method (a per-column partition + elementwise
+  interpolation), so the bounds are *permutation-stable* across member
+  order and a row predicted in any batch is bit-identical to predicting
+  it alone;
 - :func:`welford_interval` is scalar arithmetic on ``(count,
   sample_variance)`` — its half-width shrinks monotonically with the
   observation count for a fixed variance;
@@ -227,17 +228,19 @@ def member_quantile_bounds(
     ``alpha/2`` / ``1 - alpha/2`` quantiles of those per-member bounds,
     widened (elementwise) to always contain the ensemble mean.
 
-    ``np.quantile(..., axis=0)`` sorts each column independently, which
-    gives the two invariants the parity contracts need: the result is
-    identical under any permutation of the members, and each column's
-    bound never depends on which other columns share the batch.
+    ``np.quantile(..., axis=0)`` partitions each column independently,
+    which gives the two invariants the parity contracts need: the result
+    is identical under any permutation of the members, and each column's
+    bound never depends on which other columns share the batch.  The
+    bounds are :func:`_member_quantile`, ``np.quantile`` without its
+    dispatch.
     """
     z = z_for(confidence)
     mus = np.asarray(mus, dtype=np.float64)
     spread = z * np.sqrt(np.maximum(np.asarray(sigma2s, dtype=np.float64), 0.0))
     alpha = (1.0 - confidence) / 2.0
-    low = np.quantile(mus - spread, alpha, axis=0)
-    high = np.quantile(mus + spread, 1.0 - alpha, axis=0)
+    low = _member_quantile(mus - spread, alpha)
+    high = _member_quantile(mus + spread, 1.0 - alpha)
     if mean is None:
         # member-order-stable ensemble mean (same accumulation order as
         # BayesianGBMEnsemble.predict) so the containment widening is exact
@@ -246,6 +249,38 @@ def member_quantile_bounds(
             mean += mus[k]
         mean /= mus.shape[0]
     return np.minimum(low, mean), np.maximum(high, mean)
+
+
+def _member_quantile(values, q):
+    """``np.quantile(values, q, axis=0)`` for a float ``q``, bit for bit.
+
+    The members are few and ``q`` is fixed, so each column's quantile is
+    two order statistics and numpy's linear interpolation between them.
+    This takes them as ``np.quantile`` does: the same virtual index and
+    weight, the same partition of each column, the same ``_lerp``
+    arithmetic and the same NaN rule (a column holding a NaN answers
+    NaN); only the dispatch around them is left out.
+    """
+    n = values.shape[0]
+    virtual = (n - 1) * np.float64(q)
+    below = np.floor(virtual)
+    if virtual >= n - 1:  # at or past the last member: the largest value
+        below = above = -1
+    else:
+        above = below + 1
+        if virtual < 0:
+            below = above = 0
+    t = float(virtual - below)
+    below, above = int(below), int(above)
+    ordered = values.copy()
+    ordered.partition(np.unique(np.array([0, -1, below, above])), axis=0)
+    a, b = ordered[below], ordered[above]
+    diff = b - a
+    result = a + diff * t
+    if t >= 0.5:
+        result = np.subtract(b, diff * (1 - t))
+    np.copyto(result, ordered[-1], where=np.isnan(ordered[-1]))
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,13 @@ class Objective:
         """Return ``(grad, hess)`` arrays of shape ``(n, n_params)``."""
         raise NotImplementedError
 
+    def sample_loss(self, y, raw):
+        """Per-sample loss values, shape ``(n,)``."""
+        raise NotImplementedError
+
     def loss(self, y, raw):
         """Mean loss value used for early stopping."""
-        raise NotImplementedError
+        return float(np.mean(self.sample_loss(y, raw)))
 
     def raw_to_prediction(self, raw):
         """Map raw scores to ``(mean, variance)``.
@@ -75,8 +79,8 @@ class SquaredError(Objective):
         hess = np.ones_like(grad)
         return grad[:, None], hess[:, None]
 
-    def loss(self, y, raw):
-        return float(np.mean((raw[:, 0] - y) ** 2))
+    def sample_loss(self, y, raw):
+        return (raw[:, 0] - y) ** 2
 
     def raw_to_prediction(self, raw):
         mean = raw[:, 0]
@@ -103,8 +107,8 @@ class AbsoluteError(Objective):
         hess = np.ones_like(grad)
         return grad[:, None], hess[:, None]
 
-    def loss(self, y, raw):
-        return float(np.mean(np.abs(raw[:, 0] - y)))
+    def sample_loss(self, y, raw):
+        return np.abs(raw[:, 0] - y)
 
     def raw_to_prediction(self, raw):
         mean = raw[:, 0]
@@ -152,10 +156,10 @@ class GaussianNLL(Objective):
         hess[:, 1] = np.maximum(0.5 * scaled_sq, 1e-2)
         return grad, hess
 
-    def loss(self, y, raw):
+    def sample_loss(self, y, raw):
         mu = raw[:, 0]
         var = self._var(raw)
-        return float(np.mean(0.5 * np.log(var) + 0.5 * (y - mu) ** 2 / var))
+        return 0.5 * np.log(var) + 0.5 * (y - mu) ** 2 / var
 
     def raw_to_prediction(self, raw):
         return raw[:, 0].copy(), self._var(raw)

@@ -141,7 +141,10 @@ class BenchConfig:
 
 #: the default grid of each tier, as ``python -m repro.service bench`` runs it
 TIER_DEFAULTS: Dict[str, BenchConfig] = {
-    "service": BenchConfig(),
+    # 8 days of trace give each measured row ~1,250 fused queries (a
+    # 0.1-0.3 s window; 12 days already put retrains inside it), and each
+    # row is the median of 15 interleaved passes
+    "service": BenchConfig(duration_days=8.0, repeats=15),
     "gateway": BenchConfig(
         n_instances=6,
         duration_days=1.0,

@@ -1,20 +1,25 @@
-"""Tests for the gradient boosting machine."""
+"""Tests for the gradient boosting machine.
 
-import contextlib
+Every fit is held to ``gbm_oracle.oracle_fit``, the one-model round loop
+over the node-by-node learner that the joint fit replaced.
+"""
+
+import copy
 import hashlib
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from gbm_oracle import oracle_fit
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_ml_tree import tree_predict
 
 from repro import FleetConfig, FleetGenerator, fast_profile
 from repro.core.autowlm import AutoWLMPredictor
 from repro.local_model import LocalModel
-from repro.ml.gbm import GradientBoostingModel
-from repro.ml.tree import RegressionTree
+from repro.ml.ensemble import BayesianGBMEnsemble
+from repro.ml.gbm import GradientBoostingModel, fit_models
 
 
 @pytest.fixture(scope="module")
@@ -213,40 +218,27 @@ class TestIntrospection:
 # ---------------------------------------------------------------------------
 # the packed forest against the per-tree oracle
 # ---------------------------------------------------------------------------
-@contextlib.contextmanager
-def recording_trees():
-    """Record every :class:`RegressionTree` grown inside the block, in
-    fit order, beside the :class:`Binner` its fit used (one per boosting
-    fit, so it names the model the tree belongs to)."""
-    fitted = []
-    fit_predict = RegressionTree.fit_predict
-
-    def spy(self, binned, grad, hess, binner, feature_indices=None):
-        fitted.append((binner, self))
-        return fit_predict(self, binned, grad, hess, binner, feature_indices)
-
-    RegressionTree.fit_predict = spy
-    try:
-        yield fitted
-    finally:
-        RegressionTree.fit_predict = fit_predict
+def oracle_twin(model, X, y, eval_set=None):
+    """``model``'s settings fit by the oracle: the twin model, the trees
+    its fit kept (in fit order) and the fit's binner."""
+    twin = copy.copy(model)
+    trees, binner = oracle_fit(twin, X, y, eval_set)
+    return twin, trees, binner
 
 
-@pytest.fixture
-def fitted_trees():
-    with recording_trees() as fitted:
-        yield fitted
-
-
-def kept_trees(model, fitted_trees, binner=None):
-    """The trees ``model``'s fit grew and kept, in fit order.
-
-    ``binner`` (by default the last fit's) marks the fit's trees, and
-    early stopping keeps the first ``best_iteration_`` rounds of them.
-    """
-    binner = fitted_trees[-1][0] if binner is None else binner
-    built = [tree for b, tree in fitted_trees if b is binner]
-    return built[: model.best_iteration_ * model.init_raw_.size]
+def assert_fit_equals(model, twin):
+    """``model`` holds exactly what ``twin`` holds: every packed table,
+    the initial score, the kept rounds and both loss curves."""
+    for name in model.forest_._fields:
+        got, want = getattr(model.forest_, name), getattr(twin.forest_, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    assert model.init_raw_.tobytes() == twin.init_raw_.tobytes()
+    assert model.best_iteration_ == twin.best_iteration_
+    for name in ("train_losses_", "val_losses_"):
+        got, want = getattr(model, name), getattr(twin, name)
+        assert all(type(v) is float for v in got), name
+        assert np.array(got).tobytes() == np.array(want).tobytes(), name
 
 
 def predict_raw_per_tree(model, trees, X):
@@ -365,38 +357,129 @@ class TestPackedWalk:
     @given(_boosting_problems())
     def test_predict_raw_matches_per_tree_oracle(self, problem):
         X, y, params, rng = problem
-        with recording_trees() as fitted_trees:
-            model = GradientBoostingModel(**params).fit(X, y)
-        trees = kept_trees(model, fitted_trees)
+        model = GradientBoostingModel(**params).fit(X, y)
+        twin, trees, _ = oracle_twin(model, X, y)
         assert_packed(model, trees)
+        assert_fit_equals(model, twin)
         assert_walk_matches_oracle(model, trees, _probe_rows(X, model, rng), rng)
 
     @pytest.mark.parametrize("objective", ["absolute_error", "gaussian_nll"])
-    def test_stumps_whose_root_is_a_leaf(self, fitted_trees, objective):
+    def test_stumps_whose_root_is_a_leaf(self, objective):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(60, 3))
         y = rng.normal(size=60)
         model = GradientBoostingModel(
             objective=objective, n_estimators=5, min_samples_leaf=40, random_state=0
         ).fit(X, y)
-        trees = kept_trees(model, fitted_trees)
+        _, trees, _ = oracle_twin(model, X, y)
         assert (model.forest_.roots < 0).all()
         assert model.forest_.feature.size == 0
         assert_packed(model, trees)
         assert_walk_matches_oracle(model, trees, _probe_rows(X, model, rng), rng)
 
     @pytest.mark.parametrize("objective", ["absolute_error", "gaussian_nll"])
-    def test_early_stopping_trims_rounds(self, fitted_trees, objective):
+    def test_early_stopping_trims_rounds(self, objective):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(200, 4))
         y = rng.normal(size=200)
         params = dict(n_estimators=40, max_depth=6, early_stopping_rounds=3, random_state=1)
         model = GradientBoostingModel(objective=objective, **params).fit(X, y)
         n_params = model.init_raw_.size
-        assert len(fitted_trees) > model.n_trees == model.best_iteration_ * n_params
-        trees = kept_trees(model, fitted_trees)
+        assert len(model.train_losses_) * n_params > model.n_trees
+        assert model.n_trees == model.best_iteration_ * n_params
+        twin, trees, _ = oracle_twin(model, X, y)
         assert_packed(model, trees)
+        assert_fit_equals(model, twin)
         assert_walk_matches_oracle(model, trees, _probe_rows(X, model, rng), rng)
+
+
+# ---------------------------------------------------------------------------
+# the joint fit against the one-model oracle
+# ---------------------------------------------------------------------------
+@st.composite
+def _joint_problems(draw):
+    """Joint fits of 1-5 models rich in the grower's edge cases: NaN,
+    +-inf and constant columns, a low-cardinality column, all three
+    objectives, row and column subsampling, leaf sizes that force stumps,
+    noise targets whose early stopping ends members at different rounds,
+    and an explicit validation set."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(min_value=2, max_value=90))
+    X = rng.normal(size=(n, draw(st.integers(min_value=1, max_value=4))))
+    X[:, 0] = rng.integers(-2, 3, size=n)
+    extra = []
+    if draw(st.booleans()):
+        extra.append(np.full(n, 2.5))  # constant
+    if draw(st.booleans()):
+        extra.append(rng.choice([np.nan, np.inf, -np.inf, 1.0, 2.0], size=n))
+    X = np.column_stack([X, *extra])
+    if draw(st.booleans()):
+        X[rng.random(X.shape) < 0.1] = np.nan
+    if draw(st.booleans()):
+        y = 2.0 * np.nan_to_num(X[:, 0]) + rng.normal(size=n) * 0.3
+    else:
+        y = rng.normal(size=n)  # noise: members stop early, each on its own round
+    params = dict(
+        objective=draw(st.sampled_from(["squared_error", "absolute_error", "gaussian_nll"])),
+        n_estimators=draw(st.integers(min_value=0, max_value=10)),
+        max_depth=draw(st.integers(min_value=0, max_value=5)),
+        min_samples_leaf=draw(st.sampled_from([0, 1, 3, 200])),  # 200: stumps
+        min_child_weight=draw(st.sampled_from([0.0, 1e-3, 1.0])),
+        early_stopping_rounds=draw(st.sampled_from([None, 1, 2, 3])),
+        subsample=draw(st.sampled_from([1.0, 0.6])),
+        colsample=draw(st.sampled_from([1.0, 0.5])),
+        learning_rate=draw(st.sampled_from([0.1, 0.5])),
+        max_bins=draw(st.sampled_from([4, 64])),
+    )
+    n_models = draw(st.integers(min_value=1, max_value=5))
+    eval_set = None
+    if n_models == 1 and draw(st.booleans()):
+        eval_set = (X[: max(1, n // 4)], y[: max(1, n // 4)])
+    return X, y, params, n_models, eval_set, seed % 1000
+
+
+def assert_joint_fit_matches_oracle(X, y, params, n_models, eval_set, seed):
+    models = [GradientBoostingModel(random_state=seed + k, **params) for k in range(n_models)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        fit_models(models, X, y, eval_set)
+        for model in models:
+            assert_fit_equals(model, oracle_twin(model, X, y, eval_set)[0])
+    return models
+
+
+class TestJointFit:
+    @given(_joint_problems())
+    @settings(max_examples=120, deadline=None)
+    def test_every_model_equals_its_fit_alone(self, problem):
+        assert_joint_fit_matches_oracle(*problem)
+
+    def test_members_stop_at_different_rounds(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(80, 3))
+        y = rng.normal(size=80)
+        params = dict(objective="gaussian_nll", n_estimators=30, max_depth=3)
+        params.update(early_stopping_rounds=2, subsample=0.8)
+        models = assert_joint_fit_matches_oracle(X, y, params, 5, None, 11)
+        rounds = [len(m.train_losses_) for m in models]
+        assert len(set(rounds)) > 1 and max(rounds) < 30
+
+    def test_models_must_share_settings(self):
+        models = [GradientBoostingModel(max_depth=2), GradientBoostingModel(max_depth=3)]
+        with pytest.raises(ValueError, match="share every setting"):
+            fit_models(models, np.zeros((30, 2)), np.zeros(30))
+
+    def test_ensemble_members_equal_their_fits_alone(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(120, 4))
+        y = X[:, 0] + 0.3 * rng.normal(size=120)
+        ens = BayesianGBMEnsemble(n_members=3, n_estimators=15, max_depth=3, random_state=4)
+        ens.fit(X, y)
+        for k, member in enumerate(ens.members_):
+            alone = GradientBoostingModel(
+                objective="gaussian_nll", random_state=4 + k, **ens.gbm_kwargs
+            ).fit(X, y)
+            assert_fit_equals(member, alone)
 
 
 def _held_arrays(value):
@@ -439,21 +522,23 @@ class TestSizeAccounting:
 #: kernel that moves one bit of one tree changes them.  They fingerprint a
 #: numpy build too (featurization and the Gaussian-NLL gradients go through
 #: its exp/log kernels), like the drift-gated results/*.txt do.  A fitted
-#: model holds no tree, so the digests hash the trees its fit grew and
-#: kept, and the tests assert the model's packed tables are those trees.
+#: model holds no tree, so the digests hash the trees the oracle
+#: (``gbm_oracle``) grows and keeps refitting the same data, and the tests
+#: assert the model's packed tables are those trees.
 GOLDEN_LOCAL_ENSEMBLE = "f77a3a784b14d240dffcdf484ac8390599d835dabb6b4b14974591f428b7486e"
 GOLDEN_AUTOWLM = "27e106571f3a07b08d4a5bd4c62117c09b5432cf16d0a4c1476817e522c5b7dc"
 
 
-def _tree_digest(models, binners, fitted_trees):
-    """Hash ``models``' kept trees as the digests were recorded: with
-    each split's bin index beside its raw threshold.  A tree stores only
-    the threshold, the bin's upper edge, so the index is rebuilt from the
-    edges of ``binners``, the binner each model's fit used."""
+def _tree_digest(fits):
+    """Hash the kept trees of ``fits`` (``(model, trees, binner)`` from
+    :func:`oracle_twin`) as the digests were recorded: with each split's
+    bin index beside its raw threshold.  A tree stores only the
+    threshold, the bin's upper edge, so the index is rebuilt from the
+    edges of the binner each fit used."""
     digest = hashlib.sha256()
-    for model, binner in zip(models, binners, strict=True):
+    for model, trees, binner in fits:
         digest.update(np.asarray(model.init_raw_, dtype=np.float64).tobytes())
-        for tree in kept_trees(model, fitted_trees, binner):
+        for tree in trees:
             threshold_bin = np.zeros(tree.n_nodes_, dtype=np.int32)
             for nid in np.flatnonzero(~tree.is_leaf_):
                 edges = binner.bin_edges_[tree.feature_[nid]]
@@ -479,25 +564,44 @@ def trace_prefix():
     return [trace[i] for i in range(400)]
 
 
+def recording_fits(monkeypatch, cls):
+    """Record the ``(X, y)`` of every ``cls.fit`` call, in call order."""
+    calls = []
+    fit = cls.fit
+
+    def spy(self, X, y, *args):
+        calls.append((np.array(X), np.array(y)))
+        return fit(self, X, y, *args)
+
+    monkeypatch.setattr(cls, "fit", spy)
+    return calls
+
+
 class TestGoldenDigests:
-    def test_fast_profile_local_ensemble(self, trace_prefix, fitted_trees):
+    def test_fast_profile_local_ensemble(self, trace_prefix, monkeypatch):
+        fits = recording_fits(monkeypatch, BayesianGBMEnsemble)
         profile = fast_profile()
         model = LocalModel(profile.local, profile.pool, random_state=3)
         for record in trace_prefix:
             model.add_example(record.features, record.exec_time)
-        assert model.n_retrains == 3
-        # the last retrain fit the members in order, one binner each
+        assert model.n_retrains == len(fits) == 3
+        # the oracle refits the last retrain's members one at a time
+        X, y = fits[-1]
         members = model._ensemble.members_
-        binners = list(dict.fromkeys(binner for binner, _ in fitted_trees))[-len(members) :]
-        assert _tree_digest(members, binners, fitted_trees) == GOLDEN_LOCAL_ENSEMBLE
-        for member, binner in zip(members, binners):
-            assert_packed(member, kept_trees(member, fitted_trees, binner))
+        twins = [oracle_twin(member, X, y) for member in members]
+        assert _tree_digest(twins) == GOLDEN_LOCAL_ENSEMBLE
+        for member, (twin, trees, _) in zip(members, twins):
+            assert_packed(member, trees)
+            assert_fit_equals(member, twin)
 
-    def test_autowlm_gbm(self, trace_prefix, fitted_trees):
+    def test_autowlm_gbm(self, trace_prefix, monkeypatch):
+        fits = recording_fits(monkeypatch, GradientBoostingModel)
         predictor = AutoWLMPredictor(fast_profile().local, random_state=5)
         for record in trace_prefix:
             predictor.observe(record)
-        assert predictor.n_retrains == 3
+        assert predictor.n_retrains == len(fits) == 3
         model = predictor._model
-        assert _tree_digest([model], [fitted_trees[-1][0]], fitted_trees) == GOLDEN_AUTOWLM
-        assert_packed(model, kept_trees(model, fitted_trees))
+        twin, trees, binner = oracle_twin(model, *fits[-1])
+        assert _tree_digest([(twin, trees, binner)]) == GOLDEN_AUTOWLM
+        assert_packed(model, trees)
+        assert_fit_equals(model, twin)

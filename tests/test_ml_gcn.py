@@ -4,8 +4,10 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.ml.gcn import DirectedGCN, GraphBatch, PlanGraph
+from repro.ml.gcn import DirectedGCN, GraphBatch, PlanGraph, _occurrence_groups, _scatter_add
 from repro.ml.nn import huber_loss
 
 
@@ -87,6 +89,47 @@ class TestGraphBatch:
     def test_invalid_aggregation(self):
         with pytest.raises(ValueError):
             GraphBatch([_chain_graph(2)], aggregation="max")
+
+
+@st.composite
+def _scatters(draw):
+    """Scatter-adds with repeated targets, signed zeros, ``"mean"``-style
+    fractional weights and empty edge lists."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n_nodes = draw(st.integers(min_value=1, max_value=12))
+    n_edges = draw(st.integers(min_value=0, max_value=40))
+    index = rng.integers(0, draw(st.integers(min_value=1, max_value=n_nodes)), size=n_edges)
+    width = draw(st.integers(min_value=1, max_value=5))
+    values = rng.choice([-0.0, 0.0, 1e-300, -2.5, 3.0, 1e16], size=(n_edges, width))
+    values = values + rng.normal(size=values.shape) * draw(st.sampled_from([0.0, 1.0]))
+    if draw(st.booleans()):  # mean aggregation: divide by in-degree
+        degree = np.bincount(index, minlength=n_nodes).astype(np.float64)
+        values = values * (1.0 / np.maximum(degree, 1.0)[index])[:, None]
+    out = rng.choice([-0.0, 0.0, 1.0], size=(n_nodes, width))
+    return out, index, values
+
+
+class TestScatterAdd:
+    @given(_scatters())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_add_at_bit_for_bit(self, scatter):
+        out, index, values = scatter
+        want = out.copy()
+        np.add.at(want, index, values)
+        got = out.copy()
+        groups = _occurrence_groups(index)
+        _scatter_add(got, index, values, groups)
+        assert got.tobytes() == want.tobytes()
+        for pos in groups:
+            assert np.unique(index[pos]).size == pos.size
+
+    def test_batch_groups_cover_every_edge(self):
+        batch = GraphBatch([_random_tree(7, s) for s in range(4)], aggregation="mean")
+        for index, groups in ((batch.dst, batch.dst_groups), (batch.src, batch.src_groups)):
+            assert sorted(np.concatenate(groups).tolist()) == list(range(index.size))
+        empty = GraphBatch([_chain_graph(1)])
+        assert empty.dst_groups == [] and empty.src_groups == []
 
 
 class TestDirectedGCN:

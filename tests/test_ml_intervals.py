@@ -1,4 +1,5 @@
-"""The standard-normal quantile behind every interval: ``z_for``.
+"""The standard-normal quantile behind every interval (``z_for``) and
+the ensemble's member quantiles.
 
 ``z_for`` evaluates a pure-Python port of the Cephes ``ndtri`` rather
 than importing scipy, so it is held to scipy's own ``ndtri`` bit for bit:
@@ -11,8 +12,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.ml.intervals import NOMINAL_CONFIDENCE, _ndtri, z_for
+from repro.ml.intervals import (
+    NOMINAL_CONFIDENCE,
+    _member_quantile,
+    _ndtri,
+    member_quantile_bounds,
+    z_for,
+)
 
 #: confidence -> z, as ``float.hex`` of ``scipy.special.ndtri(0.5 + c / 2)``;
 #: 0.999999 lands in the first tail branch, 1 - 1e-14 in the second
@@ -82,3 +91,47 @@ class TestZFor:
             f"{mismatch.size} mismatches, e.g. p={probs[mismatch[0]]!r}: "
             f"{got[mismatch[0]]!r} != {expected[mismatch[0]]!r}"
         )
+
+
+@st.composite
+def _member_columns(draw):
+    """``(K, N)`` member values rich in NaN, +-inf, ties and signed zeros."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    shape = (draw(st.integers(min_value=1, max_value=12)), draw(st.integers(1, 9)))
+    pool = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 1e308, -1e308, 5e-324])
+    values = np.where(
+        rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0])),
+        rng.choice(pool, size=shape),
+        rng.normal(size=shape),
+    )
+    q = draw(st.sampled_from([0.0, 0.05, 0.25, 0.5, 0.95, 1.0, 1 / 3]) | st.floats(0.0, 1.0))
+    return values, q
+
+
+class TestMemberQuantile:
+    @given(_member_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_quantile_bit_for_bit(self, problem):
+        values, q = problem
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.quantile(values, q, axis=0)
+            got = _member_quantile(values, q)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @given(_member_columns())
+    @settings(max_examples=100, deadline=None)
+    def test_bounds_equal_np_quantile_bounds(self, problem):
+        mus, _ = problem
+        sigma2s = np.abs(np.nan_to_num(mus[::-1], nan=1.0, posinf=2.0, neginf=0.5))
+        z = z_for(NOMINAL_CONFIDENCE)
+        spread = z * np.sqrt(np.maximum(sigma2s, 0.0))
+        alpha = (1.0 - NOMINAL_CONFIDENCE) / 2.0
+        mean = np.zeros(mus.shape[1])
+        with np.errstate(invalid="ignore", over="ignore"):
+            want_low = np.minimum(np.quantile(mus - spread, alpha, axis=0), mean)
+            want_high = np.maximum(np.quantile(mus + spread, 1.0 - alpha, axis=0), mean)
+            low, high = member_quantile_bounds(mus, sigma2s, mean=mean)
+        assert low.tobytes() == want_low.tobytes()
+        assert high.tobytes() == want_high.tobytes()

@@ -1,11 +1,55 @@
-"""Tests for the histogram binner and regression tree learner."""
+"""Tests for the histogram binner and the level-wise tree grower.
 
+The grower is held to ``gbm_oracle``'s node-by-node learner and to the
+per-feature split search that learner replaced, array for array.
+"""
+
+import gbm_oracle
 import numpy as np
 import pytest
+from gbm_oracle import _NodeBatch, _SplitCandidates
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.tree import Binner, RegressionTree, _NodeBatch, _SplitCandidates
+from repro.ml import tree as tree_module
+from repro.ml.tree import Binner, ForestGrower, PackedForest, TreeParams, _node_sums
+
+
+class RegressionTree:
+    """One tree grown by :class:`ForestGrower`, with the node-indexed
+    arrays of ``gbm_oracle.RegressionTree``: ``feature_``,
+    ``threshold_``, ``left_``, ``right_``, ``value_`` (every node's
+    Newton value) and ``is_leaf_``, nodes in depth-first order."""
+
+    def __init__(self, **params):
+        self.params = TreeParams(**params)
+        self.reg_lambda = self.params.reg_lambda
+
+    def fit(self, binned, grad, hess, binner, feature_indices=None):
+        self.fit_predict(binned, grad, hess, binner, feature_indices)
+        return self
+
+    def fit_predict(self, binned, grad, hess, binner, feature_indices=None):
+        feature_ok = None
+        if feature_indices is not None:
+            feature_ok = np.zeros((1, binned.shape[1]), dtype=bool)
+            feature_ok[0, feature_indices] = True
+        grower = ForestGrower(binned[None], binner.edges_[None], binner.n_bins_[None], self.params)
+        leaf_values, _ = grower.grow([0], grad[None], hess[None], feature_ok)
+        table = grower.table()
+        self._table = table
+        self.n_nodes_ = table.tree.size
+        self.feature_ = table.feature
+        self.threshold_ = table.threshold
+        self.left_ = table.left.astype(np.int32)
+        self.right_ = table.right.astype(np.int32)
+        self.value_ = table.value
+        self.is_leaf_ = table.is_leaf
+        return leaf_values[0]
+
+    def packed(self):
+        table = self._table._replace(value=self.value_)
+        return PackedForest.pack(table)
 
 
 def tree_predict(tree, X):
@@ -80,6 +124,50 @@ class TestBinner:
         binner = Binner(max_bins=4).fit(X)
         t = binner.threshold_value(0, 0)
         assert X.min() < t < X.max()
+
+
+@st.composite
+def _binning_columns(draw):
+    """Matrices whose columns exercise the one-pass quantile fit: NaN and
+    +-inf among finite values, columns with no finite value, constant
+    and low-cardinality columns, signed zeros and extreme magnitudes, and
+    columns with different counts of finite values."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(min_value=1, max_value=80))
+    columns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        kind = draw(st.sampled_from(["normal", "ints", "zeros", "constant", "huge", "nonfinite"]))
+        if kind == "normal":
+            col = rng.normal(size=n)
+        elif kind == "ints":
+            col = rng.integers(-2, 3, size=n).astype(float)
+        elif kind == "zeros":
+            col = rng.choice([-0.0, 0.0, 1.0], size=n)
+        elif kind == "constant":
+            col = np.full(n, rng.normal())
+        elif kind == "huge":
+            col = rng.choice([-1e308, 1e308, 0.0, 5e-324], size=n)
+        else:
+            col = rng.choice([np.nan, np.inf, -np.inf], size=n)
+        if draw(st.booleans()):
+            col[rng.random(n) < 0.3] = rng.choice([np.nan, np.inf, -np.inf])
+        columns.append(col)
+    return np.column_stack(columns), draw(st.integers(min_value=2, max_value=64))
+
+
+class TestOnePassBinner:
+    @given(_binning_columns())
+    @settings(max_examples=150, deadline=None)
+    def test_edges_match_column_by_column_fit(self, problem):
+        X, max_bins = problem
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = Binner(max_bins=max_bins).fit(X)
+            want = gbm_oracle.Binner(max_bins=max_bins).fit(X)
+        assert got.n_bins_.tolist() == want.n_bins_.tolist()
+        for g, w in zip(got.bin_edges_, want.bin_edges_, strict=True):
+            assert g.tobytes() == w.tobytes()
+        assert got.transform(X).tobytes() == want.transform(X).tobytes()
 
 
 class TestRegressionTree:
@@ -274,7 +362,7 @@ def _reference_best_split(tree, binned, grad, hess, node, binner, feature_indice
     return best
 
 
-class _ReferenceTree(RegressionTree):
+class _ReferenceTree(gbm_oracle.RegressionTree):
     """A tree grown with :func:`_reference_best_split` at every node."""
 
     def fit_predict(self, binned, grad, hess, binner, feature_indices=None):
@@ -345,14 +433,46 @@ def _split_problems(draw):
     return X, binned, grad, hess, binner, feature_indices, params, rng
 
 
+def grown_root_split(params, binned, grad, hess, binner, feature_indices, idx):
+    """The root split ``(feature, bin)`` the grower finds on rows ``idx``,
+    or ``None``: the bin is read back from the split's raw threshold."""
+    tree = RegressionTree(**dict(params, max_depth=1))
+    tree.fit(binned[idx], grad[idx], hess[idx], binner, feature_indices)
+    if tree.is_leaf_[0]:
+        return None
+    feat = int(tree.feature_[0])
+    edges = binner.bin_edges_[feat]
+    bin_idx = int(np.searchsorted(edges, tree.threshold_[0]))
+    assert edges[bin_idx] == tree.threshold_[0]
+    return feat, bin_idx
+
+
 class TestSinglePassSplitSearch:
     @given(_split_problems())
     @settings(max_examples=150, deadline=None)
     def test_split_matches_reference_bit_for_bit(self, problem):
+        """The grower's root split on all rows and on a subset equals the
+        per-feature reference search on that node."""
         _, binned, grad, hess, binner, feature_indices, params, rng = problem
         n, n_features = binned.shape
         fi = np.arange(n_features) if feature_indices is None else feature_indices
-        tree = RegressionTree(**params)
+        oracle = gbm_oracle.RegressionTree(**params)
+        nodes = [np.arange(n), np.sort(rng.choice(n, size=max(1, n // 2), replace=False))]
+        for idx in nodes:
+            node = _NodeBatch(0, idx, 0, float(grad[idx].sum()), float(hess[idx].sum()))
+            want = _reference_best_split(oracle, binned, grad, hess, node, binner, fi)
+            got = grown_root_split(params, binned, grad, hess, binner, feature_indices, idx)
+            assert got == (None if want is None else want[:2])
+
+    @given(_split_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_oracle_split_matches_reference_bit_for_bit(self, problem):
+        """The oracle learner's single-pass search equals the per-feature
+        loop, gain bits included."""
+        _, binned, grad, hess, binner, feature_indices, params, rng = problem
+        n, n_features = binned.shape
+        fi = np.arange(n_features) if feature_indices is None else feature_indices
+        tree = gbm_oracle.RegressionTree(**params)
         candidates = _SplitCandidates(binned, binner, fi)
         nodes = [np.arange(n), np.sort(rng.choice(n, size=max(1, n // 2), replace=False))]
         for idx in nodes:
@@ -409,6 +529,8 @@ class TestSinglePassSplitSearch:
         """Huge gradients with an infinite Hessian give NaN gains in the
         features that separate them; the reference skips exactly those
         features and still splits on the others."""
+        params = dict(min_samples_leaf=1)
+        oracle = gbm_oracle.RegressionTree(**params)
         for seed in range(1500):
             rng = np.random.default_rng(seed)
             X = rng.integers(0, 3, size=(10, 3)).astype(float)
@@ -416,14 +538,13 @@ class TestSinglePassSplitSearch:
             binned = binner.transform(X)
             grad = rng.choice([1e200, -1e200, 1.0, -2.0], size=10)
             hess = rng.choice([np.inf, 1.0, 1.0, 1.0], size=10)
-            tree = RegressionTree(min_samples_leaf=1)
             idx = np.arange(10)
             node = _NodeBatch(0, idx, 0, float(grad.sum()), float(hess.sum()))
             fi = np.arange(3)
             with np.errstate(all="ignore"):
-                got = tree._best_split(grad, hess, node, _SplitCandidates(binned, binner, fi))
-                want = _reference_best_split(tree, binned, grad, hess, node, binner, fi)
-            assert got == want, seed
+                want = _reference_best_split(oracle, binned, grad, hess, node, binner, fi)
+            got = grown_root_split(params, binned, grad, hess, binner, None, idx)
+            assert got == (None if want is None else want[:2]), seed
 
     def test_first_feature_wins_a_tie(self):
         col = np.repeat([0.0, 1.0], 20)
@@ -434,5 +555,50 @@ class TestSinglePassSplitSearch:
         tree = RegressionTree(max_depth=1, min_samples_leaf=1)
         tree.fit(binned, -y, np.ones(40), binner)
         assert tree.feature_[0] == 1
-        tree.fit(binned, -y, np.ones(40), binner, feature_indices=np.array([2, 1]))
+        tree.fit(binned, -y, np.ones(40), binner, feature_indices=np.array([2]))
         assert tree.feature_[0] == 2
+        # the node-by-node learner scans candidates in the order given
+        oracle = gbm_oracle.RegressionTree(max_depth=1, min_samples_leaf=1)
+        oracle.fit(binned, -y, np.ones(40), binner, feature_indices=np.array([2, 1]))
+        assert oracle.feature_[0] == 2
+
+
+class TestNodeSums:
+    @given(
+        st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_each_run_sums_as_np_sum(self, sizes, seed):
+        """A node's sums are np.sum over its rows in row order, whatever
+        the run's length (numpy's pairwise blocks start at 8 and 128)."""
+        rng = np.random.default_rng(seed)
+        sizes = np.array(sizes)
+        n = int(sizes.sum()) + 3
+        stats = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-8, 8, size=(2, n))
+        stats[rng.random(stats.shape) < 0.1] = -0.0
+        rows = rng.permutation(n)[: sizes.sum()]
+        got = _node_sums(stats, rows, sizes)
+        ends = np.cumsum(sizes)
+        for k, (start, end) in enumerate(zip(ends - sizes, ends)):
+            for c in range(2):
+                want = np.sum(stats[c, rows[start:end]])
+                assert got[c, k].tobytes() == want.tobytes()
+
+
+def test_level_searched_in_groups_matches_reference(monkeypatch):
+    """A level holding more than ``_MAX_SEARCH_CELLS`` cells is searched in
+    groups of nodes; the trees do not change."""
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(300, 5))
+    X[:, 0] = rng.integers(0, 4, size=300)
+    binner = Binner(max_bins=32).fit(X)
+    binned = binner.transform(X)
+    grad, hess = rng.normal(size=300), rng.random(300) + 0.5
+    params = dict(max_depth=5, min_samples_leaf=3)
+    reference = _ReferenceTree(**params).fit(binned, grad, hess, binner)
+    monkeypatch.setattr(tree_module, "_MAX_SEARCH_CELLS", 100)
+    tree = RegressionTree(**params).fit(binned, grad, hess, binner)
+    assert reference.n_nodes_ > 15
+    for name in _TREE_ARRAYS:
+        assert getattr(tree, name).tobytes() == getattr(reference, name).tobytes(), name
